@@ -9,6 +9,10 @@
  * per-sample operations must stay far below the per-sample cost of
  * Table 1 (~0.4-0.8 us on the paper's hardware).
  *
+ * The BM_EventQueue* and BM_Machine* benchmarks time the untimed
+ * layer under all of it: the simulator's event queue and the machine
+ * rate model, which every simulated state change goes through.
+ *
  * The BM_Obs* benchmarks bound the observability layer's own cost
  * (ISSUE 3 acceptance): dormant sites (no session attached) must be
  * ~a thread-local load and branch, and with -DRBV_OBS=0 the compiler
@@ -24,6 +28,8 @@
 #include "core/predict/predictor.hh"
 #include "core/timeline.hh"
 #include "obs/obs.hh"
+#include "sim/event_queue.hh"
+#include "sim/machine.hh"
 #include "stats/rng.hh"
 
 using namespace rbv;
@@ -176,8 +182,97 @@ BM_ObsSignatureIdentifyActive(benchmark::State &state)
         benchmark::DoNotOptimize(bank.identify(prefix));
 }
 
+// ------------------------------------------- simulator event core
+
+/**
+ * Cancel + re-schedule one event at the tick it was cancelled at,
+ * with range(0) events live: the re-arm Machine::scheduleBoundaries()
+ * performs for every core on every state change. 20000 live events
+ * is the cluster benchmark's upfront arrival backlog.
+ */
+void
+BM_EventQueueRearm(benchmark::State &state)
+{
+    const auto live = static_cast<std::size_t>(state.range(0));
+    sim::EventQueue eq;
+    std::vector<sim::EventId> ids(live);
+    std::vector<sim::Tick> whens(live);
+    stats::Rng rng(6);
+    for (std::size_t i = 0; i < live; ++i) {
+        whens[i] = 1 + rng.uniformInt(1000000);
+        ids[i] = eq.schedule(whens[i], [] {});
+    }
+    std::size_t k = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(eq.cancel(ids[k]));
+        ids[k] = eq.schedule(whens[k], [] {});
+        k = k + 1 == live ? 0 : k + 1;
+    }
+}
+
+/**
+ * Pop the next event while range(0) events stay live: each fired
+ * event schedules its successor a random delay ahead (the classic
+ * hold model), so one iteration is one pop plus one push.
+ */
+struct HoldModel
+{
+    sim::EventQueue eq;
+    stats::Rng rng{7};
+
+    void
+    arm()
+    {
+        // One captured pointer: the callback is stored in place.
+        eq.scheduleIn(1 + rng.uniformInt(1000), [this] { arm(); });
+    }
+};
+
+void
+BM_EventQueuePop(benchmark::State &state)
+{
+    const auto live = static_cast<std::size_t>(state.range(0));
+    HoldModel hm;
+    for (std::size_t i = 0; i < live; ++i)
+        hm.arm();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(hm.eq.runOne());
+}
+
+/**
+ * One machine state change with every core of the default 4-core,
+ * two-domain machine busy: rate recompute (two water-fills and the
+ * CPI / latency solve) plus the boundary and timer re-arm that
+ * follows it, driven through setOccupancy() at a fixed tick.
+ */
+void
+BM_MachineRecomputeRates(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    sim::MachineConfig mc;
+    sim::Machine m(mc, eq);
+    sim::WorkParams wp;
+    wp.baseCpi = 0.9;
+    wp.refsPerIns = 0.02;
+    wp.curve.workingSetBytes = 3.0 * 1024 * 1024;
+    wp.curve.baseMissRatio = 0.05;
+    for (sim::CoreId c = 0; c < mc.numCores; ++c) {
+        m.setWork(c, wp, 1e12);
+        m.armCycleTimer(c, 1e6, [] {});
+    }
+    double occ = 0.0;
+    for (auto _ : state) {
+        m.setOccupancy(0, occ);
+        benchmark::DoNotOptimize(m.currentCpi(0));
+        occ = occ < 2.0e6 ? occ + 4096.0 : 0.0;
+    }
+}
+
 } // namespace
 
+BENCHMARK(BM_EventQueueRearm)->Arg(8)->Arg(64)->Arg(20000);
+BENCHMARK(BM_EventQueuePop)->Arg(8)->Arg(64)->Arg(20000);
+BENCHMARK(BM_MachineRecomputeRates);
 BENCHMARK(BM_VaEwmaObserve);
 BENCHMARK(BM_ObsCounterDormant);
 BENCHMARK(BM_ObsCounterActive);

@@ -255,7 +255,7 @@ fmtNum(double v)
 
 namespace detail {
 
-thread_local ThreadState *tl_state = nullptr;
+constinit thread_local ThreadState *tl_state = nullptr;
 
 void
 emitSim(char phase, const char *cat, const char *name, double ts_us,

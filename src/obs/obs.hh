@@ -250,7 +250,7 @@ namespace detail {
 
 #if RBV_OBS
 /** The calling thread's shard; null when dormant. */
-extern thread_local ThreadState *tl_state;
+extern constinit thread_local ThreadState *tl_state;
 
 /** Outlined emit helpers (called only when tl_state is non-null). */
 void emitSim(char phase, const char *cat, const char *name,

@@ -10,22 +10,27 @@
 
 namespace rbv::sim {
 
-std::vector<double>
-waterFillTargets(double capacity, const std::vector<double> &weights,
-                 const std::vector<double> &working_sets)
+void
+waterFillTargets(double capacity, std::span<const double> weights,
+                 std::span<const double> working_sets,
+                 std::span<double> targets,
+                 std::span<unsigned char> capped)
 {
-    RBV_CHECK(weights.size() == working_sets.size(),
+    RBV_CHECK(weights.size() == working_sets.size() &&
+                  weights.size() == targets.size() &&
+                  weights.size() == capped.size(),
               "water-fill arity mismatch: " << weights.size()
                   << " weights vs " << working_sets.size()
-                  << " working sets");
+                  << " working sets, " << targets.size()
+                  << " targets, " << capped.size() << " flags");
     RBV_PROF_SCOPE(WaterFill);
     RBV_COUNT(SimWaterFills, 1);
     const std::size_t n = weights.size();
-    std::vector<double> targets(n, 0.0);
+    std::fill(targets.begin(), targets.end(), 0.0);
     if (n == 0 || capacity <= 0.0)
-        return targets;
+        return;
 
-    std::vector<bool> capped(n, false);
+    std::fill(capped.begin(), capped.end(), 0);
     double remaining = capacity;
 
     for (std::size_t round = 0; round < n; ++round) {
@@ -60,7 +65,7 @@ waterFillTargets(double capacity, const std::vector<double> &weights,
                 remaining * std::max(weights[i], 0.0) / weight_sum;
             if (working_sets[i] > 0.0 && working_sets[i] <= share) {
                 targets[i] = working_sets[i];
-                capped[i] = true;
+                capped[i] = 1;
                 any_new_cap = true;
             } else {
                 targets[i] = share;
@@ -84,6 +89,15 @@ waterFillTargets(double capacity, const std::vector<double> &weights,
     RBV_DCHECK(total <= capacity * (1.0 + 1e-9),
                "water-fill over-allocated " << total << " of "
                                             << capacity << " bytes");
+}
+
+std::vector<double>
+waterFillTargets(double capacity, const std::vector<double> &weights,
+                 const std::vector<double> &working_sets)
+{
+    std::vector<double> targets(weights.size());
+    std::vector<unsigned char> capped(weights.size());
+    waterFillTargets(capacity, weights, working_sets, targets, capped);
     return targets;
 }
 

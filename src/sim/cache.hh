@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace rbv::sim {
@@ -102,11 +103,21 @@ struct SavedFootprint
  * capacity is redistributed among the uncapped runners, iterating to
  * a fixed point (at most n rounds).
  *
+ * Allocates nothing: the caller owns the output and the scratch.
+ *
  * @param capacity     Domain capacity in bytes.
  * @param weights      Demand weight per runner (>= 0).
  * @param working_sets Working set per runner (0 = insensitive).
- * @return Target occupancy per runner, summing to <= capacity.
+ * @param targets      Out: target occupancy per runner, summing to
+ *                     <= capacity.
+ * @param capped       Scratch, one flag per runner.
  */
+void waterFillTargets(double capacity, std::span<const double> weights,
+                      std::span<const double> working_sets,
+                      std::span<double> targets,
+                      std::span<unsigned char> capped);
+
+/** Convenience form of the above that returns fresh targets. */
 std::vector<double> waterFillTargets(
     double capacity, const std::vector<double> &weights,
     const std::vector<double> &working_sets);

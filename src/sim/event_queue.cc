@@ -12,59 +12,89 @@
 
 namespace rbv::sim {
 
+EventQueue::EventQueue(std::uint32_t max_slots,
+                       std::uint64_t max_generation)
+    : maxSlots(max_slots), maxGeneration(max_generation)
+{
+    RBV_CHECK(max_slots > 0 && max_slots <= MaxSlots,
+              "event slot limit " << max_slots << " outside [1, "
+                                  << MaxSlots << "]");
+    RBV_CHECK(max_generation > 0 && max_generation <= MaxGeneration,
+              "event generation limit " << max_generation
+                                        << " outside [1, "
+                                        << MaxGeneration << "]");
+}
+
 EventId
 EventQueue::schedule(Tick when, Callback cb)
 {
     RBV_CHECK(when >= curTick,
               "event scheduled into the past: when=" << when
                   << " now=" << curTick);
-    const EventId id = nextId++;
-    heap.push(Entry{when, nextSeq++, id});
-    pending.emplace(id, std::move(cb));
+    std::uint32_t idx;
+    if (!freeSlots.empty()) {
+        idx = freeSlots.back();
+        freeSlots.pop_back();
+        // A wrapped generation would let a stale handle cancel this
+        // slot's new event.
+        RBV_CHECK(slots[idx].gen <= maxGeneration,
+                  "event slot " << idx << " exhausted its "
+                                << maxGeneration << " generations");
+    } else {
+        RBV_CHECK(slots.size() < maxSlots,
+                  "event slot table full: " << slots.size()
+                                            << " pending events");
+        idx = static_cast<std::uint32_t>(slots.size());
+        slots.emplace_back();
+    }
+    Slot &s = slots[idx];
+    s.cb = std::move(cb);
+    heap.push_back(HeapEntry{when, nextSeq++, idx});
+    siftUp(heap.size() - 1);
     RBV_COUNT(SimEventsScheduled, 1);
-    return id;
+    return (s.gen << SlotBits) | idx;
 }
 
 bool
 EventQueue::cancel(EventId id)
 {
-    const bool erased = pending.erase(id) > 0;
-    if (erased)
-        RBV_COUNT(SimEventsCancelled, 1);
-    return erased;
-}
-
-Tick
-EventQueue::nextTick() const
-{
-    // The heap top may be a cancelled entry, but nextTick() is only a
-    // hint; runOne() skips cancelled entries properly. Scan a copy-free
-    // approximation: cancelled entries never make the reported tick
-    // later than the true next tick.
-    return heap.empty() ? curTick : heap.top().when;
+    const auto idx = static_cast<std::uint32_t>(id & MaxSlots);
+    if (idx >= slots.size())
+        return false;
+    Slot &s = slots[idx];
+    if (s.heapPos == NotInHeap || s.gen != id >> SlotBits)
+        return false; // fired, cancelled, or never issued
+    RBV_DCHECK(heap[s.heapPos].slot == idx,
+               "heap position of slot " << idx << " is stale");
+    removeAt(s.heapPos);
+    s.cb = nullptr;
+    release(idx);
+    RBV_COUNT(SimEventsCancelled, 1);
+    return true;
 }
 
 bool
 EventQueue::runOne()
 {
-    while (!heap.empty()) {
-        const Entry top = heap.top();
-        heap.pop();
-        auto it = pending.find(top.id);
-        if (it == pending.end())
-            continue; // lazily cancelled
-        Callback cb = std::move(it->second);
-        pending.erase(it);
-        RBV_CHECK(top.when >= curTick,
-                  "event time regressed: firing at " << top.when
-                      << " with now=" << curTick);
-        curTick = top.when;
-        ++fired;
-        RBV_COUNT(SimEventsFired, 1);
-        cb();
-        return true;
-    }
-    return false;
+    if (heap.empty())
+        return false;
+    const HeapEntry top = heap.front();
+    Slot &s = slots[top.slot];
+    RBV_DCHECK(s.heapPos == 0, "heap top slot " << top.slot
+                                   << " has position " << s.heapPos);
+    RBV_CHECK(top.when >= curTick,
+              "event time regressed: firing at " << top.when
+                  << " with now=" << curTick);
+    removeAt(0);
+    curTick = top.when;
+    // Move the callback out before releasing the slot: the callback
+    // may schedule, and so reuse this slot or grow the table.
+    Callback cb = std::move(s.cb);
+    release(top.slot);
+    ++fired;
+    RBV_COUNT(SimEventsFired, 1);
+    cb();
+    return true;
 }
 
 void
@@ -75,18 +105,68 @@ EventQueue::runUntil(Tick limit)
                                 << curTick);
     RBV_PROF_SCOPE(EventQueuePump);
     stopRequested = false;
-    while (!stopRequested) {
-        // Skip over cancelled heap tops to find the true next event.
-        while (!heap.empty() && !pending.count(heap.top().id))
-            heap.pop();
-        if (heap.empty())
-            break;
-        if (heap.top().when > limit) {
+    while (!stopRequested && !heap.empty()) {
+        if (heap.front().when > limit) {
             curTick = limit;
             break;
         }
         runOne();
     }
+}
+
+void
+EventQueue::siftUp(std::size_t pos)
+{
+    const HeapEntry e = heap[pos];
+    while (pos > 0) {
+        const std::size_t parent = (pos - 1) / 2;
+        if (!before(e, heap[parent]))
+            break;
+        place(pos, heap[parent]);
+        pos = parent;
+    }
+    place(pos, e);
+}
+
+void
+EventQueue::siftDown(std::size_t pos)
+{
+    const HeapEntry e = heap[pos];
+    const std::size_t n = heap.size();
+    for (;;) {
+        std::size_t child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && before(heap[child + 1], heap[child]))
+            ++child;
+        if (!before(heap[child], e))
+            break;
+        place(pos, heap[child]);
+        pos = child;
+    }
+    place(pos, e);
+}
+
+void
+EventQueue::removeAt(std::size_t pos)
+{
+    slots[heap[pos].slot].heapPos = NotInHeap;
+    const HeapEntry last = heap.back();
+    heap.pop_back();
+    if (pos == heap.size())
+        return;
+    heap[pos] = last;
+    if (pos > 0 && before(last, heap[(pos - 1) / 2]))
+        siftUp(pos);
+    else
+        siftDown(pos);
+}
+
+void
+EventQueue::release(std::uint32_t slot)
+{
+    ++slots[slot].gen;
+    freeSlots.push_back(slot);
 }
 
 } // namespace rbv::sim

@@ -2,9 +2,12 @@
  * @file
  * Discrete event queue.
  *
- * The queue is a binary heap of (tick, sequence) keys with lazily
- * cancelled entries. Events scheduled for the same tick fire in
- * scheduling order, which keeps runs fully deterministic.
+ * Events live in a flat table of reusable slots. A binary heap of
+ * (tick, sequence, slot) entries orders the live events, and each slot
+ * records where its entry sits in the heap, so cancel() removes an
+ * event from the heap at once: the heap never holds a cancelled entry. Events scheduled for the
+ * same tick fire in scheduling order, which keeps runs fully
+ * deterministic.
  */
 
 #ifndef RBV_SIM_EVENT_QUEUE_HH
@@ -12,15 +15,17 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <queue>
 #include <vector>
 
 #include "sim/types.hh"
 
 namespace rbv::sim {
 
-/** Opaque handle identifying a scheduled event; 0 is invalid. */
+/**
+ * Opaque handle identifying a scheduled event; 0 is invalid. A handle
+ * names a slot and the slot's generation, so a handle to an event that
+ * already fired or was cancelled never matches the slot's next event.
+ */
 using EventId = std::uint64_t;
 
 /** Sentinel for "no event". */
@@ -33,6 +38,30 @@ class EventQueue
 {
   public:
     using Callback = std::function<void()>;
+
+    /** Low bits of an EventId name the slot, the rest its generation. */
+    static constexpr int SlotBits = 24;
+
+    /** Most slots (live events) a queue can hold. */
+    static constexpr std::uint32_t MaxSlots =
+        (std::uint32_t{1} << SlotBits) - 1;
+
+    /**
+     * Most events one slot can carry. One below the largest value
+     * the generation field holds, so the count past the last event
+     * is still representable and reusing the slot is caught.
+     */
+    static constexpr std::uint64_t MaxGeneration =
+        (std::uint64_t{1} << (64 - SlotBits)) - 2;
+
+    EventQueue() = default;
+
+    /**
+     * A queue with lower capacity limits than the handle encoding
+     * allows; exceeding either aborts. Tests use this to reach the
+     * limits with a handful of events.
+     */
+    EventQueue(std::uint32_t max_slots, std::uint64_t max_generation);
 
     /** Current simulated time. */
     Tick now() const { return curTick; }
@@ -58,13 +87,10 @@ class EventQueue
     bool cancel(EventId id);
 
     /** True if no pending (non-cancelled) events remain. */
-    bool empty() const { return pending.empty(); }
+    bool empty() const { return heap.empty(); }
 
     /** Number of pending events. */
-    std::size_t size() const { return pending.size(); }
-
-    /** Tick of the next pending event; now() if empty. */
-    Tick nextTick() const;
+    std::size_t size() const { return heap.size(); }
 
     /**
      * Run the next event, advancing time to it.
@@ -86,28 +112,57 @@ class EventQueue
     std::uint64_t firedCount() const { return fired; }
 
   private:
-    struct Entry
+    /** heapPos of a slot that holds no pending event. */
+    static constexpr std::uint32_t NotInHeap = MaxSlots;
+
+    /** One event's callback and its place in the heap. */
+    struct Slot
+    {
+        Callback cb;
+        /** Generation of the slot's current (or next) event, >= 1. */
+        std::uint64_t gen : 64 - SlotBits = 1;
+        std::uint64_t heapPos : SlotBits = NotInHeap;
+    };
+
+    /** A live event's (when, seq) key and its slot. */
+    struct HeapEntry
     {
         Tick when;
         std::uint64_t seq;
-        EventId id;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            return when != o.when ? when > o.when : seq > o.seq;
-        }
+        std::uint32_t slot;
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    // Ordered map: iteration (or a future drain/dump) follows event-id
-    // order, keeping replay output deterministic. The live set is
-    // bounded by in-flight events, so the O(log n) lookup is noise
-    // next to the heap operations.
-    std::map<EventId, Callback> pending;
+    static bool
+    before(const HeapEntry &a, const HeapEntry &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
+
+    /** Store @p e at heap index @p pos and record it in its slot. */
+    void
+    place(std::size_t pos, const HeapEntry &e)
+    {
+        heap[pos] = e;
+        slots[e.slot].heapPos = pos;
+    }
+
+    void siftUp(std::size_t pos);
+    void siftDown(std::size_t pos);
+
+    /** Remove the heap entry at @p pos, keeping the heap valid. */
+    void removeAt(std::size_t pos);
+
+    /** Return a slot whose event fired or was cancelled to the pool. */
+    void release(std::uint32_t slot);
+
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> freeSlots;
+    /** Live events, a binary min-heap by (when, seq). */
+    std::vector<HeapEntry> heap;
+    std::uint32_t maxSlots = MaxSlots;
+    std::uint64_t maxGeneration = MaxGeneration;
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
-    EventId nextId = 1;
     std::uint64_t fired = 0;
     bool stopRequested = false;
 };

@@ -5,7 +5,9 @@
 
 #include "sim/machine.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/check.hh"
 
@@ -36,6 +38,14 @@ Machine::Machine(const MachineConfig &cfg, EventQueue &eq,
     const int domains =
         (cfg.numCores + cfg.coresPerL2Domain - 1) / cfg.coresPerL2Domain;
     domainInsertion.assign(domains, 0.0);
+    const auto per_domain =
+        static_cast<std::size_t>(std::min(cfg.coresPerL2Domain,
+                                          cfg.numCores));
+    fill.runners.resize(per_domain);
+    fill.weights.resize(per_domain);
+    fill.wsets.resize(per_domain);
+    fill.targets.resize(per_domain);
+    fill.capped.resize(per_domain);
 
     if (cfg.modelRefreshIntervalCycles > 0) {
         eq.scheduleIn(cfg.modelRefreshIntervalCycles, [this] {
@@ -146,22 +156,25 @@ Machine::recomputeRates()
     // water-filling, with demand approximated by each runner's L2
     // reference pressure (references per cycle at its current CPI).
     for (int d = 0; d < num_domains; ++d) {
-        std::vector<CoreId> runners;
-        std::vector<double> weights, wsets;
-        for (CoreId i = 0; i < cfg.numCores; ++i) {
-            if (domainOf(i) != d || !cores[i].busy)
-                continue;
-            runners.push_back(i);
+        std::size_t n = 0;
+        for (CoreId i = domainBegin(d); i < domainEnd(d); ++i) {
             const auto &c = cores[i];
+            if (!c.busy)
+                continue;
             const double cpi = c.effCpi > 0.0 ? c.effCpi
                                               : c.params.baseCpi;
-            weights.push_back(c.params.refsPerIns / cpi);
-            wsets.push_back(c.params.curve.workingSetBytes);
+            fill.runners[n] = i;
+            fill.weights[n] = c.params.refsPerIns / cpi;
+            fill.wsets[n] = c.params.curve.workingSetBytes;
+            ++n;
         }
-        const auto targets =
-            waterFillTargets(cfg.l2CapacityBytes, weights, wsets);
-        for (std::size_t k = 0; k < runners.size(); ++k)
-            cores[runners[k]].targetOcc = targets[k];
+        waterFillTargets(cfg.l2CapacityBytes,
+                         std::span(fill.weights.data(), n),
+                         std::span(fill.wsets.data(), n),
+                         std::span(fill.targets.data(), n),
+                         std::span(fill.capped.data(), n));
+        for (std::size_t k = 0; k < n; ++k)
+            cores[fill.runners[k]].targetOcc = fill.targets[k];
     }
 
     // Pass 2: miss ratios from current occupancies.
@@ -222,10 +235,10 @@ Machine::recomputeRates()
     for (CoreId i = 0; i < cfg.numCores; ++i) {
         auto &c = cores[i];
         c.coPressure = 0.0;
-        for (CoreId j = 0; j < cfg.numCores; ++j) {
-            if (j == i || domainOf(j) != domainOf(i))
-                continue;
-            c.coPressure += cores[j].fillBytesPerCycle;
+        const int d = domainOf(i);
+        for (CoreId j = domainBegin(d); j < domainEnd(d); ++j) {
+            if (j != i)
+                c.coPressure += cores[j].fillBytesPerCycle;
         }
     }
 }

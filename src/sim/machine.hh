@@ -27,6 +27,7 @@
 #ifndef RBV_SIM_MACHINE_HH
 #define RBV_SIM_MACHINE_HH
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -221,6 +222,21 @@ class Machine
         EventId timerEv = InvalidEventId;
     };
 
+    /** First core of an L2 domain. */
+    CoreId
+    domainBegin(int domain) const
+    {
+        return domain * cfg.coresPerL2Domain;
+    }
+
+    /** One past the last core of an L2 domain. */
+    CoreId
+    domainEnd(int domain) const
+    {
+        return std::min(domainBegin(domain) + cfg.coresPerL2Domain,
+                        cfg.numCores);
+    }
+
     /** Advance one core by dt cycles of wall time. */
     void advanceCore(CoreState &c, int domain, double dt);
 
@@ -248,6 +264,18 @@ class Machine
 
     std::vector<CoreState> cores;
     std::vector<double> domainInsertion; ///< Bytes per L2 domain.
+
+    /**
+     * One domain's water-fill inputs and outputs, sized once for the
+     * largest domain so recomputeRates() allocates nothing.
+     */
+    struct FillScratch
+    {
+        std::vector<CoreId> runners;
+        std::vector<double> weights, wsets, targets;
+        std::vector<unsigned char> capped;
+    } fill;
+
     MemoryModel memory;
     double memLatency;
 

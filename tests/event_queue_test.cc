@@ -1,13 +1,24 @@
 /**
  * @file
- * Unit tests for the discrete event queue.
+ * Unit tests for the discrete event queue, plus a differential test
+ * against a reference model: the original priority-queue + map queue
+ * with lazy cancellation, kept here as the oracle for the slot-table
+ * queue's firing order and bookkeeping.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <map>
+#include <queue>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "stats/rng.hh"
 
 using namespace rbv::sim;
 
@@ -153,4 +164,305 @@ TEST(EventQueue, ManyEventsStressOrder)
     eq.runUntil(2000);
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(eq.firedCount(), 1000u);
+}
+
+TEST(EventQueue, StaleHandleMissesReusedSlot)
+{
+    EventQueue eq;
+    const EventId first = eq.schedule(1, [] {});
+    ASSERT_TRUE(eq.runOne());
+    bool fired = false;
+    const EventId second = eq.schedule(2, [&] { fired = true; });
+    // The freed slot is reused, under a new generation.
+    constexpr EventId SlotMask = (EventId{1} << EventQueue::SlotBits) - 1;
+    EXPECT_EQ(first & SlotMask, second & SlotMask);
+    EXPECT_NE(first, second);
+    EXPECT_FALSE(eq.cancel(first));
+    EXPECT_EQ(eq.size(), 1u);
+    eq.runUntil(10);
+    EXPECT_TRUE(fired);
+
+    // The same holds for a slot freed by cancel().
+    const EventId third = eq.schedule(20, [] {});
+    ASSERT_TRUE(eq.cancel(third));
+    const EventId fourth = eq.schedule(20, [] {});
+    EXPECT_EQ(third & SlotMask, fourth & SlotMask);
+    EXPECT_FALSE(eq.cancel(third));
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_TRUE(eq.cancel(fourth));
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, HandlesCarryWideGenerations)
+{
+    // A generation above 2^16 shifted by SlotBits needs more than
+    // the generation field's 40 bits; the handle must keep them all,
+    // and only the current handle may cancel.
+    EventQueue eq;
+    EventId prev = eq.schedule(1, [] {});
+    constexpr int Reuses = 70000;
+    for (int i = 0; i < Reuses; ++i) {
+        ASSERT_TRUE(eq.cancel(prev));
+        const EventId next = eq.schedule(1, [] {});
+        ASSERT_FALSE(eq.cancel(prev));
+        prev = next;
+    }
+    EXPECT_EQ(prev >> EventQueue::SlotBits, EventId{Reuses + 1});
+    EXPECT_TRUE(eq.cancel(prev));
+}
+
+TEST(EventQueue, CancelForeignHandlesIsFalse)
+{
+    EventQueue eq;
+    eq.schedule(5, [] {});
+    EXPECT_FALSE(eq.cancel(InvalidEventId));
+    EXPECT_FALSE(eq.cancel(EventQueue::MaxSlots - 1)); // no such slot
+    EXPECT_EQ(eq.size(), 1u);
+}
+
+// ------------------------------------------- differential vs oracle
+
+namespace {
+
+/**
+ * Reference model: the queue as first written, a binary heap of
+ * (tick, seq) keys with lazily cancelled entries plus an ordered map
+ * of pending callbacks. Kept verbatim in behaviour as the oracle.
+ */
+class RefEventQueue
+{
+  public:
+    using Callback = std::function<void()>;
+
+    Tick now() const { return curTick; }
+
+    EventId
+    schedule(Tick when, Callback cb)
+    {
+        const EventId id = nextId++;
+        heap.push(Entry{when, nextSeq++, id});
+        pending.emplace(id, std::move(cb));
+        return id;
+    }
+
+    bool cancel(EventId id) { return pending.erase(id) > 0; }
+
+    bool empty() const { return pending.empty(); }
+    std::size_t size() const { return pending.size(); }
+
+    bool
+    runOne()
+    {
+        while (!heap.empty()) {
+            const Entry top = heap.top();
+            heap.pop();
+            auto it = pending.find(top.id);
+            if (it == pending.end())
+                continue;
+            Callback cb = std::move(it->second);
+            pending.erase(it);
+            curTick = top.when;
+            ++fired;
+            cb();
+            return true;
+        }
+        return false;
+    }
+
+    void
+    runUntil(Tick limit)
+    {
+        stopRequested = false;
+        while (!stopRequested) {
+            while (!heap.empty() && !pending.count(heap.top().id))
+                heap.pop();
+            if (heap.empty())
+                break;
+            if (heap.top().when > limit) {
+                curTick = limit;
+                break;
+            }
+            runOne();
+        }
+    }
+
+    void requestStop() { stopRequested = true; }
+    std::uint64_t firedCount() const { return fired; }
+
+  private:
+    struct Entry
+    {
+        Tick when;
+        std::uint64_t seq;
+        EventId id;
+
+        bool
+        operator>(const Entry &o) const
+        {
+            return when != o.when ? when > o.when : seq > o.seq;
+        }
+    };
+
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    std::map<EventId, Callback> pending;
+    Tick curTick = 0;
+    std::uint64_t nextSeq = 0;
+    EventId nextId = 1;
+    std::uint64_t fired = 0;
+    bool stopRequested = false;
+};
+
+/**
+ * Runs one queue through a seeded random script and logs every
+ * observable: each fire (label, now, size, empty, fired count), each
+ * cancel() result, and the queue state after each top-level step.
+ * Handles are logged by the order they were handed out, since the
+ * two queues encode them differently. Callbacks cancel and re-arm
+ * "core" events at the same tick, as Machine::scheduleBoundaries()
+ * does on every state change.
+ */
+template <class Queue>
+class ScriptRun
+{
+  public:
+    explicit ScriptRun(std::uint64_t seed) : rng(seed) {}
+
+    std::vector<std::string>
+    run(int steps)
+    {
+        for (int step = 0; step < steps; ++step) {
+            const auto op = rng.uniformInt(10);
+            if (op < 4)
+                scheduleOne();
+            else if (op < 6)
+                cancelAny();
+            else if (op < 9)
+                q.runUntil(q.now() + rng.uniformInt(40));
+            else
+                note("runOne " + std::to_string(q.runOne()));
+            noteState("step");
+        }
+        budget = 0; // no more scheduling from callbacks
+        q.runUntil(q.now() + 1000000);
+        noteState("drained");
+        return log;
+    }
+
+  private:
+    static constexpr int Cores = 4;
+
+    Tick
+    pickDelay()
+    {
+        // Mostly ties: many events share a tick.
+        static constexpr Tick Delays[] = {0, 0, 0, 1, 1, 2, 5, 30};
+        return Delays[rng.uniformInt(std::size(Delays))];
+    }
+
+    EventId
+    scheduleAt(Tick when)
+    {
+        const int label = static_cast<int>(handles.size());
+        const EventId id = q.schedule(when, [this, label] { fire(label); });
+        handles.push_back(id);
+        note("schedule " + std::to_string(label) + " @" +
+             std::to_string(when));
+        return id;
+    }
+
+    void scheduleOne() { scheduleAt(q.now() + pickDelay()); }
+
+    void
+    cancelAny()
+    {
+        const auto pick = rng.uniformInt(handles.size() + 1);
+        // One pick in (n+1) is the invalid handle; the rest hit every
+        // handle ever issued, most of them stale.
+        const EventId id =
+            pick == handles.size() ? InvalidEventId : handles[pick];
+        note("cancel " + std::to_string(pick) + " " +
+             std::to_string(q.cancel(id)));
+    }
+
+    void
+    fire(int label)
+    {
+        std::ostringstream os;
+        os << "fire " << label << " @" << q.now() << " size=" << q.size()
+           << " empty=" << q.empty() << " fired=" << q.firedCount();
+        note(os.str());
+        if (budget <= 0)
+            return;
+        --budget;
+        const auto action = rng.uniformInt(8);
+        if (action < 4) {
+            // Re-arm every core event: cancel it, then schedule it
+            // again, mostly at the very tick it was cancelled at.
+            for (int c = 0; c < Cores; ++c) {
+                if (coreEv[c] != InvalidEventId)
+                    note("cancel-core " + std::to_string(c) + " " +
+                         std::to_string(q.cancel(coreEv[c])));
+                if (rng.uniformInt(4) != 0)
+                    coreWhen[c] = std::max(coreWhen[c], q.now());
+                else
+                    coreWhen[c] = q.now() + pickDelay();
+                coreEv[c] = scheduleAt(coreWhen[c]);
+            }
+        } else if (action < 6) {
+            scheduleOne();
+            cancelAny();
+        } else if (action < 7) {
+            scheduleOne();
+            scheduleOne();
+        } else {
+            q.requestStop();
+            note("stop");
+        }
+    }
+
+    void
+    noteState(const char *what)
+    {
+        std::ostringstream os;
+        os << what << " now=" << q.now() << " size=" << q.size()
+           << " empty=" << q.empty() << " fired=" << q.firedCount();
+        note(os.str());
+    }
+
+    void note(std::string line) { log.push_back(std::move(line)); }
+
+    Queue q;
+    rbv::stats::Rng rng;
+    std::vector<EventId> handles;
+    EventId coreEv[Cores] = {};
+    Tick coreWhen[Cores] = {};
+    int budget = 3000;
+    std::vector<std::string> log;
+};
+
+} // namespace
+
+TEST(EventQueueDifferential, MatchesReferenceModel)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const auto want = ScriptRun<RefEventQueue>(seed).run(1500);
+        const auto got = ScriptRun<EventQueue>(seed).run(1500);
+        const std::size_t n = std::min(want.size(), got.size());
+        std::size_t first_diff = n;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (want[i] != got[i]) {
+                first_diff = i;
+                break;
+            }
+        }
+        ASSERT_EQ(first_diff, n)
+            << "seed " << seed << ": oracle '" << want[first_diff]
+            << "' vs queue '" << got[first_diff] << "'";
+        ASSERT_EQ(want.size(), got.size()) << "seed " << seed;
+        // The script must actually exercise the queue.
+        const auto fires = std::count_if(
+            want.begin(), want.end(),
+            [](const std::string &l) { return l.rfind("fire ", 0) == 0; });
+        EXPECT_GT(fires, 1000) << "seed " << seed;
+    }
 }

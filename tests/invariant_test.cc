@@ -226,6 +226,44 @@ TEST(CheckTripDeath, ScheduleIntoThePastAborts)
                  "RBV_CHECK failed.*scheduled into the past");
 }
 
+TEST(CheckTripDeath, EventSlotTableFullAborts)
+{
+    sim::EventQueue eq(2, sim::EventQueue::MaxGeneration);
+    eq.schedule(10, [] {});
+    const sim::EventId b = eq.schedule(20, [] {});
+    ASSERT_TRUE(eq.cancel(b));
+    eq.schedule(30, [] {}); // reuses b's slot: legal
+    EXPECT_EQ(eq.size(), 2u);
+    EXPECT_DEATH(eq.schedule(40, [] {}),
+                 "RBV_CHECK failed.*event slot table full");
+}
+
+TEST(CheckTripDeath, EventGenerationWrapAborts)
+{
+    // One slot that may carry three events: handles of the first two
+    // must never cancel the third, and a fourth must not reuse it.
+    sim::EventQueue eq(1, 3);
+    const sim::EventId g1 = eq.schedule(10, [] {});
+    ASSERT_TRUE(eq.cancel(g1));
+    const sim::EventId g2 = eq.schedule(10, [] {});
+    ASSERT_TRUE(eq.runOne());
+    const sim::EventId g3 = eq.schedule(20, [] {});
+    EXPECT_FALSE(eq.cancel(g1));
+    EXPECT_FALSE(eq.cancel(g2));
+    EXPECT_EQ(eq.size(), 1u);
+    ASSERT_TRUE(eq.cancel(g3));
+    EXPECT_DEATH(eq.schedule(30, [] {}),
+                 "RBV_CHECK failed.*exhausted its 3 generations");
+}
+
+TEST(CheckTripDeath, EventQueueLimitsAboveEncodingAbort)
+{
+    EXPECT_DEATH(sim::EventQueue(sim::EventQueue::MaxSlots + 1, 1),
+                 "RBV_CHECK failed.*event slot limit");
+    EXPECT_DEATH(sim::EventQueue(1, 0),
+                 "RBV_CHECK failed.*event generation limit");
+}
+
 TEST(CheckTripDeath, RunUntilBackwardsAborts)
 {
     sim::EventQueue eq;

@@ -8,6 +8,8 @@ std::vector<int> gRegistry; // namespace-scope mutable
 
 static std::uint64_t gCalls = 0; // static mutable
 
+constinit int gEpoch = 0; // constinit is not const
+
 int
 nextTag()
 {

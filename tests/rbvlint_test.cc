@@ -91,7 +91,7 @@ INSTANTIATE_TEST_SUITE_P(
         FixtureCase{"r1_bad.cc", "src/wl/fixture.cc", "R1-nondet", 5},
         FixtureCase{"r1_good.cc", "src/wl/fixture.cc", nullptr, 0},
         FixtureCase{"r2_bad.cc", "src/sim/fixture.cc",
-                    "R2-global-state", 3},
+                    "R2-global-state", 4},
         FixtureCase{"r2_good.cc", "src/sim/fixture.cc", nullptr, 0},
         FixtureCase{"r3_bad.cc", "src/core/fixture.cc", "R3-io", 2},
         FixtureCase{"r3_good.cc", "src/core/fixture.cc", nullptr, 0},

@@ -151,6 +151,20 @@ TEST(Parser, ExtractsFieldsGuardsAndLocks)
     EXPECT_TRUE(unsafeSize->locksHeld.empty());
 }
 
+TEST(Parser, ConstinitVariablesAreMutableState)
+{
+    // constinit only forbids dynamic initialisation; the variable can
+    // still be written, so it is shared state like any other.
+    const auto unit = rbvlint::makeUnit(
+        "src/obs/fixture.cc",
+        "namespace rbv {\n"
+        "constinit thread_local int *tl_slot = nullptr;\n"
+        "constexpr int Limit = 4;\n"
+        "}\n");
+    ASSERT_EQ(unit.syms.nsMutables.size(), 1u);
+    EXPECT_EQ(unit.syms.nsMutables[0].name, "tl_slot");
+}
+
 TEST(Parser, ExtractsEnginesSeedingAndStatics)
 {
     const auto bad = rbvlint::makeUnit("src/wl/fixture.cc",

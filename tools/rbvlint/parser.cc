@@ -505,7 +505,7 @@ class Parser
                 fd.mutex = true;
             if (engineTypeNames().count(w))
                 fd.engine = true;
-            if (w == "const" || w == "constexpr" || w == "constinit")
+            if (w == "const" || w == "constexpr")
                 fd.immutable = true;
         }
 
@@ -525,12 +525,12 @@ class Parser
         if (term != ';' && term != '{')
             return;
 
-        // Strip leading storage qualifiers; `static` and
-        // `thread_local` variables are still per-process (or
+        // Strip leading storage qualifiers; `static`, `constinit`
+        // and `thread_local` variables are still per-process (or
         // per-thread-but-shared-across-jobs) mutable state.
         std::size_t first = 0;
         static const std::set<std::string> leadQuals = {
-            "static", "thread_local", "inline", "mutable"};
+            "static", "constinit", "thread_local", "inline", "mutable"};
         while (first < stmt.size() && isIdent(stmt[first]) &&
                leadQuals.count(tk(stmt[first]).text))
             ++first;
@@ -550,7 +550,7 @@ class Parser
         bool engine = false;
         for (std::size_t k : stmt) {
             const std::string &w = tk(k).text;
-            if (w == "const" || w == "constexpr" || w == "constinit")
+            if (w == "const" || w == "constexpr")
                 immutable = true;
             if (w == "(")
                 hasParen = true;
@@ -739,7 +739,7 @@ class Parser
         int angle = 0;
         for (std::size_t k = i + 1; k < hi && k < i + 60; ++k) {
             const std::string &w = tk(k).text;
-            if (w == "const" || w == "constexpr" || w == "constinit")
+            if (w == "const" || w == "constexpr")
                 immutable = true;
             if (w == "<")
                 ++angle;

@@ -91,7 +91,7 @@ struct FieldDef
     bool unordered = false;
     bool mutex = false;
     bool engine = false;
-    bool immutable = false;   ///< const/constexpr/constinit.
+    bool immutable = false;   ///< const/constexpr.
     std::string guardedBy;    ///< Mutex named by a guard annotation.
 };
 

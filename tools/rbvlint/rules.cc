@@ -522,9 +522,10 @@ class Linter
     void
     checkState(const std::vector<Token> &stmt, char term)
     {
+        // `constinit` only fixes when a variable is initialised; the
+        // variable stays mutable.
         const bool immutable = stmtContains(stmt, "const") ||
-                               stmtContains(stmt, "constexpr") ||
-                               stmtContains(stmt, "constinit");
+                               stmtContains(stmt, "constexpr");
 
         for (const auto &t : stmt) {
             if (t.text != "static")
