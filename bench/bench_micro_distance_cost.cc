@@ -29,6 +29,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/model/cascade.hh"
@@ -132,6 +133,23 @@ BM_DtwEarlyAbandon(benchmark::State &state)
     // A cutoff at half the exact value abandons partway through the
     // DP — the nearest-neighbor pruning case this kernel serves.
     const double cutoff = dtwDistance(x, y, 1.0) * 0.5;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            dtwDistanceEarlyAbandon(x, y, 1.0, cutoff));
+    state.SetComplexityN(state.range(0));
+}
+
+void
+BM_DtwEarlyAbandonFinish(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto x = randomSeries(n, 1);
+    const auto y = randomSeries(n + n / 10, 2);
+    // A cutoff just above the exact value never abandons: the kernel
+    // runs the whole DP with its abandon test armed, as most
+    // nearest-medoid comparisons do.
+    const double cutoff = std::nextafter(
+        dtwDistance(x, y, 1.0), std::numeric_limits<double>::infinity());
     for (auto _ : state)
         benchmark::DoNotOptimize(
             dtwDistanceEarlyAbandon(x, y, 1.0, cutoff));
@@ -319,30 +337,48 @@ emitTrajectory(const std::string &path)
     const double dtw_band = dtwDistanceBanded(bx, by, 1.0, Band);
     const double lev_ref = ref::levenshteinDistance(sx, sy, 512);
     const double lev_new = levenshteinDistance(sx, sy, 512);
+    // Early abandoning: a cutoff at half the exact value must
+    // abandon, one just above it must finish with the exact value.
+    constexpr double Inf = std::numeric_limits<double>::infinity();
+    const double ea_cutoff = dtw_ref * 0.5;
+    const double ea_finish_cutoff = std::nextafter(dtw_ref, Inf);
+    const double dtw_ea = dtwDistanceEarlyAbandon(x, y, 1.0, ea_cutoff);
+    const double dtw_ea_finish =
+        dtwDistanceEarlyAbandon(x, y, 1.0, ea_finish_cutoff);
     if (dtw_new != dtw_ref || dtw_band_fb != dtw_ref ||
-        dtw_band != band_ref || lev_new != lev_ref) {
+        dtw_band != band_ref || lev_new != lev_ref ||
+        dtw_ea != Inf || dtw_ea_finish != dtw_ref) {
         std::cerr << "FATAL: kernel/reference mismatch (dtw "
                   << dtw_new << "/" << dtw_band_fb << " vs "
                   << dtw_ref << ", banded " << dtw_band << " vs "
-                  << band_ref << ", lev " << lev_new << " vs "
+                  << band_ref << ", early-abandon " << dtw_ea
+                  << " (want inf)/" << dtw_ea_finish << " vs "
+                  << dtw_ref << ", lev " << lev_new << " vs "
                   << lev_ref << ")\n";
         return 1;
     }
 
-    // Dispatch equivalence: every kernel behind dtwDistance must
-    // agree bitwise on the same inputs (the AVX2 path must not
-    // silently diverge on hosts that have it).
+    // Dispatch equivalence: every kernel behind dtwDistance and
+    // dtwDistanceEarlyAbandon must agree bitwise on the same inputs
+    // (the AVX2 path must not silently diverge on hosts that have it).
     {
         DistanceScratch &scr = threadDistanceScratch();
-        const double d_scalar = core::detail::dtwDiagScalar(
-            x.data(), x.size(), y.data(), y.size(), 1.0, scr);
-        if (d_scalar != dtw_ref ||
-            (core::detail::dtwAvx2Available() &&
-             core::detail::dtwDiagAvx2(x.data(), x.size(), y.data(),
-                                       y.size(), 1.0,
-                                       scr) != dtw_ref)) {
-            std::cerr << "FATAL: diag kernel dispatch diverges\n";
-            return 1;
+        const bool avx2 = core::detail::dtwAvx2Available();
+        for (const auto &[cutoff, want] :
+             {std::pair{Inf, dtw_ref}, std::pair{ea_cutoff, Inf},
+              std::pair{ea_finish_cutoff, dtw_ref}}) {
+            const double d_scalar = core::detail::dtwDiagScalar(
+                x.data(), x.size(), y.data(), y.size(), 1.0, scr,
+                cutoff);
+            if (d_scalar != want ||
+                (avx2 && core::detail::dtwDiagAvx2(
+                             x.data(), x.size(), y.data(), y.size(),
+                             1.0, scr, cutoff) != want)) {
+                std::cerr << "FATAL: diag kernel dispatch diverges "
+                             "at cutoff "
+                          << cutoff << "\n";
+                return 1;
+            }
         }
     }
 
@@ -358,10 +394,13 @@ emitTrajectory(const std::string &path)
     const double dtw_band_fb_ns = nsPerOp([&] {
         benchmark::DoNotOptimize(dtwDistanceBanded(x, y, 1.0, Band));
     });
-    const double ea_cutoff = dtw_ref * 0.5;
     const double dtw_ea_ns = nsPerOp([&] {
         benchmark::DoNotOptimize(
             dtwDistanceEarlyAbandon(x, y, 1.0, ea_cutoff));
+    });
+    const double dtw_ea_finish_ns = nsPerOp([&] {
+        benchmark::DoNotOptimize(
+            dtwDistanceEarlyAbandon(x, y, 1.0, ea_finish_cutoff));
     });
     const double lev_ref_ns = nsPerOp([&] {
         benchmark::DoNotOptimize(
@@ -499,6 +538,7 @@ emitTrajectory(const std::string &path)
         "    \"dtw_banded\": %.1f,\n"
         "    \"dtw_banded_fallback\": %.1f,\n"
         "    \"dtw_early_abandon\": %.1f,\n"
+        "    \"dtw_early_abandon_finish\": %.1f,\n"
         "    \"levenshtein_ref\": %.1f,\n"
         "    \"levenshtein\": %.1f\n"
         "  },\n"
@@ -537,7 +577,8 @@ emitTrajectory(const std::string &path)
         "}\n",
         std::thread::hardware_concurrency(),
         core::detail::dtwKernelId(), KernelLen, dtw_ref_ns, dtw_ns,
-        dtw_band_ns, dtw_band_fb_ns, dtw_ea_ns, lev_ref_ns, lev_ns,
+        dtw_band_ns, dtw_band_fb_ns, dtw_ea_ns, dtw_ea_finish_ns,
+        lev_ref_ns, lev_ns,
         MatrixN, ref_ms, serial_ms, par4_ms, cascade_ms, speedup,
         speedup_casc,
         static_cast<unsigned long long>(cs.lookups),
@@ -566,7 +607,8 @@ emitTrajectory(const std::string &path)
     std::printf("  dtw banded        %10.1f  (fallback regime "
                 "%10.1f)\n",
                 dtw_band_ns, dtw_band_fb_ns);
-    std::printf("  dtw early-abandon %10.1f\n", dtw_ea_ns);
+    std::printf("  dtw early-abandon %10.1f  (finishing %10.1f)\n",
+                dtw_ea_ns, dtw_ea_finish_ns);
     std::printf("  levenshtein       %10.1f  (ref %10.1f, %.2fx)\n",
                 lev_ns, lev_ref_ns, lev_ref_ns / lev_ns);
     std::printf("matrix n=%zu: ref %.2f ms, serial %.2f ms, 4 jobs "
@@ -600,6 +642,7 @@ BENCHMARK(BM_DtwDistanceRef)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_DtwAsyncPenalty)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_DtwBanded)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_DtwEarlyAbandon)->Range(16, 1024)->Complexity();
+BENCHMARK(BM_DtwEarlyAbandonFinish)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_AvgMetricDistance)->Range(16, 1024);
 BENCHMARK(BM_Levenshtein)->Range(16, 4096);
 BENCHMARK(BM_LevenshteinRef)->Range(16, 4096);

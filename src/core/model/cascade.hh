@@ -40,14 +40,15 @@
  *     suite asserts on random inputs.
  *
  *  3. dtwDistanceEarlyAbandon seeded with the cutoff: the exact DP,
- *     abandoned once a whole row proves the result >= cutoff.
+ *     abandoned once the last row's minimum is provably >= cutoff.
  *
  * Iron rule: the cascade only ever *skips* work whose result provably
  * could not alter a strict-< comparison against the cutoff, so every
  * consumer (kMedoidsCascade, streaming scoring, the anomaly pair
  * search) produces bit-identical results to the plain kernels. The
- * surviving DPs run the same dispatched kernel as dtwDistance and
- * memoize, so no cell is ever computed twice.
+ * surviving DPs run on the same kernels as dtwDistance (rolling row
+ * below 16 points, the anti-diagonal wavefront above) with the
+ * abandon test armed, and memoize, so no cell is ever computed twice.
  */
 
 #ifndef RBV_CORE_MODEL_CASCADE_HH

@@ -66,27 +66,42 @@ min3(double a, double b, double c)
  * changed. Requires m >= 1 and n >= 1. Retained as the short-series
  * kernel and as the dispatch-equivalence witness for the
  * anti-diagonal kernels in dtw_simd.cc.
+ *
+ * With Abandon it returns +inf as soon as a whole DP row sits at or
+ * above @p cutoff: every warp path crosses every row, so the final
+ * value can no longer be smaller.
  */
+template <bool Abandon>
 double
 dtwRolling(const double *x, std::size_t m, const double *y,
-           std::size_t n, double async_penalty,
+           std::size_t n, double async_penalty, double cutoff,
            DistanceScratch &scratch)
 {
     auto [prev, cur] = scratch.dtwRowPair(n);
 
     prev[0] = std::abs(x[0] - y[0]); // initial pointer position
-    for (std::size_t j = 1; j < n; ++j)
+    double row_min = prev[0];
+    for (std::size_t j = 1; j < n; ++j) {
         prev[j] = prev[j - 1] + std::abs(x[0] - y[j]) + async_penalty;
+        if constexpr (Abandon)
+            row_min = std::min(row_min, prev[j]);
+    }
+    if (Abandon && row_min >= cutoff)
+        return Inf;
 
     for (std::size_t i = 1; i < m; ++i) {
         const double xi = x[i];
-        cur[0] = prev[0] + std::abs(xi - y[0]) + async_penalty;
+        row_min = cur[0] = prev[0] + std::abs(xi - y[0]) + async_penalty;
         for (std::size_t j = 1; j < n; ++j) {
             const double best = min3(prev[j - 1],
                                      prev[j] + async_penalty,
                                      cur[j - 1] + async_penalty);
             cur[j] = best + std::abs(xi - y[j]);
+            if constexpr (Abandon)
+                row_min = std::min(row_min, cur[j]);
         }
+        if (Abandon && row_min >= cutoff)
+            return Inf;
         std::swap(prev, cur);
     }
     return prev[n - 1];
@@ -100,22 +115,31 @@ dtwRolling(const double *x, std::size_t m, const double *y,
 constexpr std::size_t DiagKernelMinLen = 16;
 
 /**
- * Full DTW with runtime kernel dispatch. All three kernels compute
- * the identical operand set per cell (see dtw_simd.hh), so which one
- * runs is invisible in the result bits — only in the wall clock.
+ * DTW with runtime kernel dispatch. All three kernels compute the
+ * identical operand set per cell (see dtw_simd.hh), so which one runs
+ * is invisible in the result bits — only in the wall clock. A finite
+ * @p cutoff abandons with +inf exactly when the last DP row's minimum
+ * is >= cutoff, on every kernel alike; the wavefront's abandon test
+ * leans on p >= 0, so a negative penalty keeps the rolling kernel.
  */
 double
 dtwFull(const double *x, std::size_t m, const double *y, std::size_t n,
-        double async_penalty, DistanceScratch &scratch)
+        double async_penalty, DistanceScratch &scratch,
+        double cutoff = Inf)
 {
-    if (std::min(m, n) >= DiagKernelMinLen) {
+    if (std::min(m, n) >= DiagKernelMinLen &&
+        (cutoff == Inf || async_penalty >= 0.0)) {
         if (detail::dtwAvx2Available())
             return detail::dtwDiagAvx2(x, m, y, n, async_penalty,
-                                       scratch);
+                                       scratch, cutoff);
         return detail::dtwDiagScalar(x, m, y, n, async_penalty,
-                                     scratch);
+                                     scratch, cutoff);
     }
-    return dtwRolling(x, m, y, n, async_penalty, scratch);
+    if (cutoff == Inf)
+        return dtwRolling<false>(x, m, y, n, async_penalty, cutoff,
+                                 scratch);
+    return dtwRolling<true>(x, m, y, n, async_penalty, cutoff,
+                            scratch);
 }
 
 } // namespace
@@ -314,44 +338,18 @@ dtwDistanceEarlyAbandon(const MetricSeries &x, const MetricSeries &y,
                         double async_penalty, double cutoff)
 {
     RBV_PROF_SCOPE(DtwEarlyAbandon);
+    RBV_DCHECK(async_penalty >= 0.0,
+               "dtwDistanceEarlyAbandon needs async_penalty >= 0, got "
+                   << async_penalty);
     const std::size_t m = x.size(), n = y.size();
     if (m == 0 || n == 0)
         return static_cast<double>(m + n) * async_penalty;
 
-    auto [prev, cur] = threadDistanceScratch().dtwRowPair(n);
-    const double *xs = x.data(), *ys = y.data();
-
-    // Every warp path visits at least one cell per row, so once a
-    // whole row sits at or above the cutoff the final value must too.
-    double row_min = prev[0] = std::abs(xs[0] - ys[0]);
-    for (std::size_t j = 1; j < n; ++j) {
-        prev[j] =
-            prev[j - 1] + std::abs(xs[0] - ys[j]) + async_penalty;
-        row_min = std::min(row_min, prev[j]);
-    }
-    if (row_min >= cutoff) {
+    const double d = dtwFull(x.data(), m, y.data(), n, async_penalty,
+                             threadDistanceScratch(), cutoff);
+    if (d == Inf)
         RBV_COUNT(ModelDtwEarlyAbandons, 1);
-        return Inf;
-    }
-
-    for (std::size_t i = 1; i < m; ++i) {
-        const double xi = xs[i];
-        row_min = cur[0] =
-            prev[0] + std::abs(xi - ys[0]) + async_penalty;
-        for (std::size_t j = 1; j < n; ++j) {
-            const double best = min3(prev[j - 1],
-                                     prev[j] + async_penalty,
-                                     cur[j - 1] + async_penalty);
-            cur[j] = best + std::abs(xi - ys[j]);
-            row_min = std::min(row_min, cur[j]);
-        }
-        if (row_min >= cutoff) {
-            RBV_COUNT(ModelDtwEarlyAbandons, 1);
-            return Inf;
-        }
-        std::swap(prev, cur);
-    }
-    return prev[n - 1];
+    return d;
 }
 
 double

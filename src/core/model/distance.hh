@@ -76,6 +76,12 @@ double dtwDistanceBanded(const MetricSeries &x, const MetricSeries &y,
  * reaches @p cutoff (every warp path crosses every row, so the final
  * value can no longer be smaller). A finite return value is always
  * exact, even if it ends up >= cutoff.
+ *
+ * Requires @p async_penalty >= 0 (checked by RBV_DCHECK): only then
+ * do row minima never decrease, which is what makes a row at or above
+ * the cutoff final. The result is +infinity exactly when the last
+ * row's minimum is >= cutoff, whichever kernel runs, so the set of
+ * abandoned calls does not depend on the dispatch.
  */
 double dtwDistanceEarlyAbandon(const MetricSeries &x,
                                const MetricSeries &y,

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/check.hh"
 #include "core/model/distance_scratch.hh"
@@ -44,17 +45,71 @@ min3(double a, double b, double c)
     return std::min(std::min(a, b), c);
 }
 
+/** Cell range [ilo, ihi] (by row i) of anti-diagonal d. */
+inline std::pair<std::size_t, std::size_t>
+diagRange(std::size_t m, std::size_t n, std::size_t d)
+{
+    return {d >= n ? d - n + 1 : 0, std::min(d, m - 1)};
+}
+
+/**
+ * True when every cell of diagonal @p d, stored in @p diag, is
+ * >= cutoff. Otherwise @p hint becomes the row of a cell below it.
+ * Cells below the cutoff lie around the cheap warp paths, which
+ * drift only a few rows between checks, so starting at @p hint
+ * usually refutes a DP that will finish at the first cell read. The
+ * hint is only where the scan starts: it wraps around and reads every
+ * cell before answering true, because a cheap valley can also live at
+ * lower rows (one that skipped the previous check's diagonal by
+ * diagonal steps).
+ */
+inline bool
+diagAtLeast(const double *diag, std::size_t m, std::size_t n,
+            std::size_t d, double cutoff, std::size_t &hint)
+{
+    const auto [ilo, ihi] = diagRange(m, n, d);
+    const std::size_t start = std::clamp(hint, ilo, ihi);
+    for (std::size_t i = start; i <= ihi; ++i)
+        if (!(diag[i + 1] >= cutoff)) {
+            hint = i;
+            return false;
+        }
+    for (std::size_t i = ilo; i < start; ++i)
+        if (!(diag[i + 1] >= cutoff)) {
+            hint = i;
+            return false;
+        }
+    return true;
+}
+
+/**
+ * Diagonals between two abandon tests. Testing less often only
+ * delays an abandon by a few diagonals; it never changes whether
+ * the call abandons.
+ */
+constexpr std::size_t AbandonCheckEvery = 8;
+
 /**
  * Shared wavefront skeleton: stages yr and the three rows, seeds
  * diagonal 0, then runs Inner over every later diagonal. Inner
  * computes cells [ilo, ihi] of diagonal d into cur (buffer index
  * i+1) from prev1/prev2.
+ *
+ * With Abandon, the result is +inf exactly when the rolling-row
+ * kernel would abandon, i.e. when the minimum of the last DP row is
+ * >= cutoff (for p >= 0 row minima never decrease, so the rolling
+ * kernel abandons at some row iff it abandons at the last one).
+ * Every cell on diagonal d+1 reads only diagonals d and d-1, and a
+ * cell is never below the neighbor it extends, so once both of
+ * those diagonals and every last-row cell seen so far sit at or
+ * above the cutoff, no later cell can pull the last-row minimum
+ * below it and diagDrive returns +inf early.
  */
-template <typename Inner>
+template <bool Abandon, typename Inner>
 double
 diagDrive(const double *x, std::size_t m, const double *y,
-          std::size_t n, double p, DistanceScratch &scratch,
-          Inner &&inner)
+          std::size_t n, double p, double cutoff,
+          DistanceScratch &scratch, Inner &&inner)
 {
     const std::size_t row = m + 2;
     double *buf = scratch.diagTriple(row);
@@ -68,13 +123,14 @@ diagDrive(const double *x, std::size_t m, const double *y,
     double *cur = buf + 2 * row;    // diagonal d
 
     prev1[1] = std::abs(x[0] - y[0]); // cell (0, 0), diagonal 0
-    if (m == 1 && n == 1)
-        return prev1[1];
+    // Minimum of the last-row cells (m-1, *) computed so far, and
+    // the row where the last abandon test found a cell below cutoff.
+    double last_row_min = m == 1 ? prev1[1] : Inf;
+    std::size_t hint = 0;
 
     const std::size_t last = m + n - 2;
     for (std::size_t d = 1; d <= last; ++d) {
-        const std::size_t ilo = d >= n ? d - n + 1 : 0;
-        const std::size_t ihi = std::min(d, m - 1);
+        const auto [ilo, ihi] = diagRange(m, n, d);
         cur[ilo] = Inf;     // sentinel below the range (index ilo-1)
         cur[ihi + 2] = Inf; // sentinel above the range (index ihi+1)
         // yr index of cell (i, d-i) is n-1-d+i; nonnegative for
@@ -101,11 +157,21 @@ diagDrive(const double *x, std::size_t m, const double *y,
         }
         if (lo <= hi)
             inner(cur, prev1, prev2, x, yd, lo, hi, p);
+        if constexpr (Abandon) {
+            if (ihi == m - 1)
+                last_row_min = std::min(last_row_min, cur[m]);
+            if (d % AbandonCheckEvery == 0 && last_row_min >= cutoff &&
+                diagAtLeast(cur, m, n, d, cutoff, hint) &&
+                diagAtLeast(prev1, m, n, d - 1, cutoff, hint))
+                return Inf;
+        }
         double *tmp = prev2;
         prev2 = prev1;
         prev1 = cur;
         cur = tmp;
     }
+    if (Abandon && last_row_min >= cutoff)
+        return Inf;
     return prev1[m]; // cell (m-1, n-1) at buffer index m
 }
 
@@ -127,11 +193,17 @@ scalarInner(double *cur, const double *prev1, const double *prev2,
 double
 dtwDiagScalar(const double *x, std::size_t m, const double *y,
               std::size_t n, double async_penalty,
-              DistanceScratch &scratch)
+              DistanceScratch &scratch, double cutoff)
 {
     RBV_DCHECK(m >= 1 && n >= 1,
                "dtwDiagScalar requires nonempty series");
-    return diagDrive(x, m, y, n, async_penalty, scratch, scalarInner);
+    RBV_DCHECK(cutoff == Inf || async_penalty >= 0.0,
+               "abandoning needs p >= 0, got p=" << async_penalty);
+    if (cutoff == Inf)
+        return diagDrive<false>(x, m, y, n, async_penalty, cutoff,
+                                scratch, scalarInner);
+    return diagDrive<true>(x, m, y, n, async_penalty, cutoff, scratch,
+                           scalarInner);
 }
 
 #if RBV_DTW_X86
@@ -173,10 +245,16 @@ avx2Inner(double *cur, const double *prev1, const double *prev2,
 __attribute__((target("avx2"))) double
 dtwDiagAvx2(const double *x, std::size_t m, const double *y,
             std::size_t n, double async_penalty,
-            DistanceScratch &scratch)
+            DistanceScratch &scratch, double cutoff)
 {
     RBV_DCHECK(m >= 1 && n >= 1, "dtwDiagAvx2 requires nonempty series");
-    return diagDrive(x, m, y, n, async_penalty, scratch, avx2Inner);
+    RBV_DCHECK(cutoff == Inf || async_penalty >= 0.0,
+               "abandoning needs p >= 0, got p=" << async_penalty);
+    if (cutoff == Inf)
+        return diagDrive<false>(x, m, y, n, async_penalty, cutoff,
+                                scratch, avx2Inner);
+    return diagDrive<true>(x, m, y, n, async_penalty, cutoff, scratch,
+                           avx2Inner);
 }
 
 bool
@@ -190,9 +268,9 @@ dtwAvx2Available()
 double
 dtwDiagAvx2(const double *x, std::size_t m, const double *y,
             std::size_t n, double async_penalty,
-            DistanceScratch &scratch)
+            DistanceScratch &scratch, double cutoff)
 {
-    return dtwDiagScalar(x, m, y, n, async_penalty, scratch);
+    return dtwDiagScalar(x, m, y, n, async_penalty, scratch, cutoff);
 }
 
 bool

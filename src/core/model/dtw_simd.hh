@@ -34,6 +34,7 @@
 #define RBV_CORE_MODEL_DTW_SIMD_HH
 
 #include <cstddef>
+#include <limits>
 
 namespace rbv::core {
 
@@ -45,10 +46,18 @@ namespace detail {
  * Portable anti-diagonal DTW. Requires m >= 1 and n >= 1; DP storage
  * comes from @p scratch (three wavefront rows plus a reversed copy
  * of y so every lane load is contiguous).
+ *
+ * A finite @p cutoff turns on early abandoning (requires
+ * async_penalty >= 0): the result is +infinity exactly when the last
+ * DP row's minimum is >= cutoff — the same set of inputs on which the
+ * rolling-row kernel abandons — and the exact DTW value otherwise.
+ * With the default +infinity the abandon test is compiled out.
  */
 double dtwDiagScalar(const double *x, std::size_t m, const double *y,
                      std::size_t n, double async_penalty,
-                     DistanceScratch &scratch);
+                     DistanceScratch &scratch,
+                     double cutoff =
+                         std::numeric_limits<double>::infinity());
 
 /**
  * AVX2 anti-diagonal DTW (4 cells per vector op). Same contract and
@@ -57,7 +66,8 @@ double dtwDiagScalar(const double *x, std::size_t m, const double *y,
  */
 double dtwDiagAvx2(const double *x, std::size_t m, const double *y,
                    std::size_t n, double async_penalty,
-                   DistanceScratch &scratch);
+                   DistanceScratch &scratch,
+                   double cutoff = std::numeric_limits<double>::infinity());
 
 /** True when the host CPU can run the AVX2 kernel. */
 bool dtwAvx2Available();

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/model/cascade.hh"
 #include "core/model/distance.hh"
@@ -365,6 +366,117 @@ TEST(EarlyAbandon, FiniteResultIsExactInfMeansAtLeastCutoff)
         else
             ASSERT_EQ(got, exact);
     }
+}
+
+namespace {
+
+/**
+ * Row minima of the textbook rolling DP, in the reference's own
+ * arithmetic. The rolling kernel abandons at the first row whose
+ * minimum reaches the cutoff; that is the decision every abandoning
+ * kernel must reproduce, input for input.
+ */
+std::vector<double>
+rollingRowMinima(const MetricSeries &x, const MetricSeries &y, double p)
+{
+    const std::size_t m = x.size(), n = y.size();
+    std::vector<double> prev(n), cur(n), minima;
+    prev[0] = std::abs(x[0] - y[0]);
+    for (std::size_t j = 1; j < n; ++j)
+        prev[j] = prev[j - 1] + std::abs(x[0] - y[j]) + p;
+    minima.push_back(*std::min_element(prev.begin(), prev.end()));
+    for (std::size_t i = 1; i < m; ++i) {
+        cur[0] = prev[0] + std::abs(x[i] - y[0]) + p;
+        for (std::size_t j = 1; j < n; ++j)
+            cur[j] = std::min({prev[j - 1], prev[j] + p,
+                               cur[j - 1] + p}) +
+                     std::abs(x[i] - y[j]);
+        minima.push_back(*std::min_element(cur.begin(), cur.end()));
+        std::swap(prev, cur);
+    }
+    return minima;
+}
+
+bool
+rollingAbandons(const std::vector<double> &minima, double cutoff)
+{
+    return std::any_of(minima.begin(), minima.end(),
+                       [&](double r) { return r >= cutoff; });
+}
+
+} // namespace
+
+TEST(EarlyAbandon, SameAbandonSetAsRollingRowMinimumOnEveryKernel)
+{
+    // Counter preservation: model.dtw_early_abandons, the cascade
+    // memo and model.cascade_dp_runs stay put only if every kernel
+    // abandons on exactly the inputs the rolling kernel does. Cutoffs
+    // sit on the knife edges: the exact value, one ulp either side of
+    // it, and on (and one ulp above) a row minimum.
+    constexpr double Inf = std::numeric_limits<double>::infinity();
+    DistanceScratch &scr = threadDistanceScratch();
+    const bool avx2 = detail::dtwAvx2Available();
+    int abandoned = 0, finished = 0;
+    const auto check = [&](const MetricSeries &x, const MetricSeries &y,
+                           double p) {
+        const std::size_t m = x.size(), n = y.size();
+        const double exact = ref::dtwDistance(x, y, p);
+        const auto minima = rollingRowMinima(x, y, p);
+        const double row_edge = minima[(m - 1) / 2];
+        for (const double cutoff :
+             {exact, std::nextafter(exact, Inf),
+              std::nextafter(exact, 0.0), row_edge,
+              std::nextafter(row_edge, Inf), minima.back(),
+              std::nextafter(minima.back(), Inf)}) {
+            const bool want = rollingAbandons(minima, cutoff);
+            want ? ++abandoned : ++finished;
+            const double expect = want ? Inf : exact;
+            SCOPED_TRACE(::testing::Message()
+                         << "m=" << m << " n=" << n << " p=" << p
+                         << " cutoff=" << cutoff);
+            ASSERT_EQ(dtwDistanceEarlyAbandon(x, y, p, cutoff), expect);
+            ASSERT_EQ(detail::dtwDiagScalar(x.data(), m, y.data(), n, p,
+                                            scr, cutoff),
+                      expect);
+            if (avx2) {
+                ASSERT_EQ(detail::dtwDiagAvx2(x.data(), m, y.data(), n,
+                                              p, scr, cutoff),
+                          expect);
+            }
+        }
+    };
+    stats::Rng rng(909);
+    for (std::size_t m = 1; m <= 80; ++m) {
+        for (const std::size_t n :
+             {m, std::size_t{1} + m / 3, std::size_t{81} - m,
+              std::size_t{1} +
+                  static_cast<std::size_t>(rng.uniformInt(80))}) {
+            for (const double p : {0.0, 0.5, 1.0}) {
+                check(randomSeries(m, rng), randomSeries(n, rng), p);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+    // One spike in each flat series: the cells below a cutoff split
+    // into valleys that live on alternate diagonals, and one can die
+    // out while another, at lower rows, carries on.
+    for (const auto &[m, n] : {std::pair<std::size_t, std::size_t>{24, 40},
+                               std::pair<std::size_t, std::size_t>{40, 24}}) {
+        for (std::size_t a = 0; a < m; ++a) {
+            for (std::size_t b = 0; b < n; ++b) {
+                MetricSeries x(m, 0.0), y(n, 0.0);
+                x[a] = y[b] = 5.0;
+                for (const double p : {0.5, 1.0})
+                    check(x, y, p);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+    // Both outcomes must be exercised for the suite to mean anything.
+    EXPECT_GT(abandoned, 1000);
+    EXPECT_GT(finished, 1000);
 }
 
 // ------------------------------------------------- parallel byte-ident

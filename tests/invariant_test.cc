@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/check.hh"
+#include "core/model/distance.hh"
 #include "exp/analysis.hh"
 #include "exp/scenario.hh"
 #include "os/kernel.hh"
@@ -330,6 +331,18 @@ TEST(CheckTripDeath, CompletingUnknownRequestAborts)
     os::Kernel k(m);
     m.setClient(&k);
     EXPECT_DEATH(k.completeRequest(7), "RBV_CHECK failed");
+}
+
+TEST(CheckTripDeath, EarlyAbandonNegativePenaltyAborts)
+{
+    // With p < 0 row minima can fall: row 0 of x=[5,0,0,0] vs y=[0]
+    // is 5, yet the exact value is 2, so abandoning at cutoff 5 would
+    // be unsound. The kernel refuses the penalty outright.
+    const core::MetricSeries x{5.0, 0.0, 0.0, 0.0}, y{0.0};
+    EXPECT_EQ(core::dtwDistanceEarlyAbandon(x, y, 0.0, 6.0),
+              5.0); // legal
+    EXPECT_DEATH(core::dtwDistanceEarlyAbandon(x, y, -1.0, 5.0),
+                 "RBV_DCHECK failed.*async_penalty >= 0");
 }
 
 TEST(Invariant, ChannelFifoAcrossManyWaiters)
