@@ -109,17 +109,17 @@ main(int argc, char **argv)
             core::Clustering cl;
             if (m == core::Measure::Dtw ||
                 m == core::Measure::DtwAsyncPenalty) {
-                // DTW measures run the lower-bound cascade:
-                // kMedoidsCascade is bit-identical to kMedoids over
-                // the full matrix (same seeding draw, strict-<
-                // winners, summation order), so the tables cannot
-                // change — most pairwise DPs just never run.
+                // DTW measures run k-medoids over the lower-bound
+                // cascade: bit-identical to the full matrix (same
+                // seeding draw, strict-< winners, summation order),
+                // so the tables cannot change — most pairwise DPs
+                // just never run.
                 const double p =
                     m == core::Measure::Dtw ? 0.0 : penalty;
                 core::DistanceCascade dc(items.data(), items.size(),
                                          p);
                 stats::Rng crng(seed + 99);
-                cl = core::kMedoidsCascade(dc, k, crng);
+                cl = core::kMedoids(dc, k, crng);
             } else {
                 auto dist = [&](std::size_t i,
                                 std::size_t j) -> double {

@@ -113,18 +113,6 @@ BM_DtwAsyncPenalty(benchmark::State &state)
 }
 
 void
-BM_DtwBanded(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto x = randomSeries(n, 1);
-    const auto y = randomSeries(n + n / 10, 2);
-    const std::size_t band = n / 8 + 1;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(dtwDistanceBanded(x, y, 1.0, band));
-    state.SetComplexityN(state.range(0));
-}
-
-void
 BM_DtwEarlyAbandon(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
@@ -282,21 +270,6 @@ classSeries(std::size_t len, std::size_t cls, std::uint64_t seed)
     return s;
 }
 
-/** A smooth random walk (banded DTW's certifying regime). */
-MetricSeries
-smoothSeries(std::size_t n, std::uint64_t seed)
-{
-    stats::Rng rng(seed);
-    MetricSeries s;
-    s.reserve(n);
-    double v = 2.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        v += rng.uniform(-0.03, 0.03);
-        s.push_back(v);
-    }
-    return s;
-}
-
 /** Bitwise equality of two clusterings (the cascade contract). */
 bool
 sameClustering(const Clustering &a, const Clustering &b)
@@ -314,27 +287,11 @@ emitTrajectory(const std::string &path)
     const auto sx = randomSyscalls(2048, 1);
     const auto sy = randomSyscalls(2048, 2);
 
-    // Banded DTW benchmarks in its working regime: same-length
-    // smooth series, one a 2-step shift of the other, band wide
-    // enough that the greedy probe certifies. The random unequal-
-    // length pair above can never certify at len 512 (its exact
-    // distance dwarfs the exit bound), so it doubles as the
-    // fallback-regime row — banded must cost ~the full kernel there,
-    // not more (the pre-PR regression).
-    constexpr std::size_t Band = 24;
-    const auto bx = smoothSeries(KernelLen, 11);
-    MetricSeries by(bx.begin() + 2, bx.end());
-    by.push_back(bx.back());
-    by.push_back(bx.back());
-
     // Cross-check the fast kernels against the reference before
     // trusting any timing: a fast-but-wrong kernel must not become
     // the baseline.
     const double dtw_ref = ref::dtwDistance(x, y, 1.0);
     const double dtw_new = dtwDistance(x, y, 1.0);
-    const double dtw_band_fb = dtwDistanceBanded(x, y, 1.0, Band);
-    const double band_ref = ref::dtwDistance(bx, by, 1.0);
-    const double dtw_band = dtwDistanceBanded(bx, by, 1.0, Band);
     const double lev_ref = ref::levenshteinDistance(sx, sy, 512);
     const double lev_new = levenshteinDistance(sx, sy, 512);
     // Early abandoning: a cutoff at half the exact value must
@@ -345,14 +302,11 @@ emitTrajectory(const std::string &path)
     const double dtw_ea = dtwDistanceEarlyAbandon(x, y, 1.0, ea_cutoff);
     const double dtw_ea_finish =
         dtwDistanceEarlyAbandon(x, y, 1.0, ea_finish_cutoff);
-    if (dtw_new != dtw_ref || dtw_band_fb != dtw_ref ||
-        dtw_band != band_ref || lev_new != lev_ref ||
-        dtw_ea != Inf || dtw_ea_finish != dtw_ref) {
+    if (dtw_new != dtw_ref || lev_new != lev_ref || dtw_ea != Inf ||
+        dtw_ea_finish != dtw_ref) {
         std::cerr << "FATAL: kernel/reference mismatch (dtw "
-                  << dtw_new << "/" << dtw_band_fb << " vs "
-                  << dtw_ref << ", banded " << dtw_band << " vs "
-                  << band_ref << ", early-abandon " << dtw_ea
-                  << " (want inf)/" << dtw_ea_finish << " vs "
+                  << dtw_new << " vs " << dtw_ref << ", early-abandon "
+                  << dtw_ea << " (want inf)/" << dtw_ea_finish << " vs "
                   << dtw_ref << ", lev " << lev_new << " vs "
                   << lev_ref << ")\n";
         return 1;
@@ -387,13 +341,6 @@ emitTrajectory(const std::string &path)
             ref::dtwDistance(x, y, 1.0)); });
     const double dtw_ns = nsPerOp(
         [&] { benchmark::DoNotOptimize(dtwDistance(x, y, 1.0)); });
-    const double dtw_band_ns = nsPerOp([&] {
-        benchmark::DoNotOptimize(
-            dtwDistanceBanded(bx, by, 1.0, Band));
-    });
-    const double dtw_band_fb_ns = nsPerOp([&] {
-        benchmark::DoNotOptimize(dtwDistanceBanded(x, y, 1.0, Band));
-    });
     const double dtw_ea_ns = nsPerOp([&] {
         benchmark::DoNotOptimize(
             dtwDistanceEarlyAbandon(x, y, 1.0, ea_cutoff));
@@ -445,8 +392,8 @@ emitTrajectory(const std::string &path)
     const double par4_ms = elapsedMs(t0);
 
     // The cascade replaces build + cluster in one shot: time it as
-    // such (envelopes + pruned kMedoids), and demand the identical
-    // clustering.
+    // such (envelopes + kMedoids over the cascade), and demand the
+    // identical clustering.
     std::vector<const MetricSeries *> items;
     items.reserve(MatrixN);
     for (const auto &s : series)
@@ -454,7 +401,7 @@ emitTrajectory(const std::string &path)
     t0 = Clock::now();
     DistanceCascade dc(items.data(), MatrixN, 1.0);
     stats::Rng rng_casc(42);
-    const auto cl_casc = kMedoidsCascade(dc, Classes, rng_casc);
+    const auto cl_casc = kMedoids(dc, Classes, rng_casc);
     const double cascade_ms = elapsedMs(t0);
 
     bool identical = sameClustering(cl_ref, cl_casc);
@@ -499,7 +446,7 @@ emitTrajectory(const std::string &path)
         t0 = Clock::now();
         DistanceCascade sdc(sp.data(), sn, 1.0);
         stats::Rng srng(42);
-        benchmark::DoNotOptimize(kMedoidsCascade(sdc, Classes, srng));
+        benchmark::DoNotOptimize(kMedoids(sdc, Classes, srng));
         scale_ms[si] = elapsedMs(t0);
         scale_dp[si] = sdc.stats().dpRuns;
         scale_cells[si] =
@@ -528,15 +475,13 @@ emitTrajectory(const std::string &path)
         buf, sizeof(buf),
         "{\n"
         "  \"bench\": \"distance\",\n"
-        "  \"schema\": 2,\n"
+        "  \"schema\": 3,\n"
         "  \"host_cpus\": %u,\n"
         "  \"kernel_id\": \"%s\",\n"
         "  \"series_len\": %zu,\n"
         "  \"kernels_ns_op\": {\n"
         "    \"dtw_ref\": %.1f,\n"
         "    \"dtw\": %.1f,\n"
-        "    \"dtw_banded\": %.1f,\n"
-        "    \"dtw_banded_fallback\": %.1f,\n"
         "    \"dtw_early_abandon\": %.1f,\n"
         "    \"dtw_early_abandon_finish\": %.1f,\n"
         "    \"levenshtein_ref\": %.1f,\n"
@@ -577,7 +522,7 @@ emitTrajectory(const std::string &path)
         "}\n",
         std::thread::hardware_concurrency(),
         core::detail::dtwKernelId(), KernelLen, dtw_ref_ns, dtw_ns,
-        dtw_band_ns, dtw_band_fb_ns, dtw_ea_ns, dtw_ea_finish_ns,
+        dtw_ea_ns, dtw_ea_finish_ns,
         lev_ref_ns, lev_ns,
         MatrixN, ref_ms, serial_ms, par4_ms, cascade_ms, speedup,
         speedup_casc,
@@ -604,9 +549,6 @@ emitTrajectory(const std::string &path)
                 core::detail::dtwKernelId());
     std::printf("  dtw               %10.1f  (ref %10.1f, %.2fx)\n",
                 dtw_ns, dtw_ref_ns, dtw_ref_ns / dtw_ns);
-    std::printf("  dtw banded        %10.1f  (fallback regime "
-                "%10.1f)\n",
-                dtw_band_ns, dtw_band_fb_ns);
     std::printf("  dtw early-abandon %10.1f  (finishing %10.1f)\n",
                 dtw_ea_ns, dtw_ea_finish_ns);
     std::printf("  levenshtein       %10.1f  (ref %10.1f, %.2fx)\n",
@@ -640,7 +582,6 @@ BENCHMARK(BM_L1Distance)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_DtwDistance)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_DtwDistanceRef)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_DtwAsyncPenalty)->Range(16, 1024)->Complexity();
-BENCHMARK(BM_DtwBanded)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_DtwEarlyAbandon)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_DtwEarlyAbandonFinish)->Range(16, 1024)->Complexity();
 BENCHMARK(BM_AvgMetricDistance)->Range(16, 1024);

@@ -8,9 +8,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/check.hh"
 #include "core/model/cascade.hh"
 #include "core/model/distance.hh"
-#include "obs/obs.hh"
 #include "stats/summary.hh"
 
 namespace rbv::core {
@@ -77,26 +77,24 @@ detectMetricPairAnomaly(const std::vector<MetricSeries> &refs_series,
                         const std::vector<MetricSeries> &cpi_series,
                         double refs_penalty, double cpi_penalty)
 {
+    RBV_CHECK(refs_series.size() == cpi_series.size(),
+              "detectMetricPairAnomaly needs parallel series, got "
+                  << refs_series.size() << " refs and "
+                  << cpi_series.size() << " CPI");
     MetricPairAnomaly out;
     const std::size_t n = refs_series.size();
     if (n < 2)
         return out;
 
-    // Refs-side envelopes for the LB cascade: the pair search only
-    // consumes a refs distance when it is small enough to displace
-    // the incumbent, so most refs DPs are rejected by a sound lower
-    // bound before they start. The radius spans the worst pairwise
-    // length mismatch (plus warp slack); it tunes prune rates only.
-    std::size_t max_len = 0, min_len = ~std::size_t{0};
-    for (const auto &s : refs_series) {
-        max_len = std::max(max_len, s.size());
-        min_len = std::min(min_len, s.size());
-    }
-    const std::size_t radius =
-        (max_len - min_len) + std::max<std::size_t>(1, max_len / 16);
-    std::vector<SeriesEnvelope> envs(n);
-    for (std::size_t i = 0; i < n; ++i)
-        buildEnvelope(refs_series[i], radius, envs[i]);
+    // The pair search only consumes a refs distance when it is small
+    // enough to displace the incumbent, so the refs side runs as
+    // bounded queries against a cascade over the refs series: most
+    // refs DPs are rejected by a sound lower bound before they start.
+    std::vector<const MetricSeries *> refs;
+    refs.reserve(n);
+    for (const auto &s : refs_series)
+        refs.push_back(&s);
+    const DistanceCascade refs_dc(refs.data(), n, refs_penalty);
 
     // Normalize distances per metric by series length so the score
     // is scale-free, then search all pairs.
@@ -112,47 +110,19 @@ detectMetricPairAnomaly(const std::vector<MetricSeries> &refs_series,
                 len;
             // The pair search maximizes dcpi / (dref + 1e-9): a pair
             // can only displace the incumbent when its refs distance
-            // is small, dref < dcpi / best_score - 1e-9. Abandoning
-            // the refs DTW at the strictly larger bound dcpi /
-            // best_score is therefore conservative — the trailing
-            // 1e-9 slack dwarfs any rounding in the bound — and a
-            // finite early-abandon result is bit-identical to the
-            // plain kernel, so the winning pair (and every printed
-            // number) is unchanged.
+            // is small, dref < dcpi / best_score - 1e-9. Rejecting
+            // every refs distance at or above the strictly larger
+            // bound dcpi / best_score is therefore conservative — the
+            // trailing 1e-9 slack dwarfs any rounding in the bound —
+            // and an accepted distance is bit-identical to the plain
+            // kernel, so the winning pair (and every printed number)
+            // is unchanged.
             double dref;
             if (best_score > 0.0) {
                 const double cutoff = dcpi / best_score * len;
-                // LB cascade ahead of the DP: a deflated bound
-                // >= cutoff proves the exact refs distance is too
-                // (LbPruneMargin absorbs summation-order rounding),
-                // which is exactly the condition under which the
-                // abandoned DP would have returned inf — so skipping
-                // here changes nothing downstream.
-                if (lbKim(refs_series[i], refs_series[j],
-                          refs_penalty) *
-                        LbPruneMargin >=
-                    cutoff) {
-                    RBV_COUNT(ModelLbKimPrunes, 1);
+                if (!refs_dc.atMost(i, j, cutoff, dref))
                     continue;
-                }
-                if (lbKeogh(refs_series[i], refs_series[j], envs[j],
-                            refs_penalty) *
-                            LbPruneMargin >=
-                        cutoff ||
-                    lbKeogh(refs_series[j], refs_series[i], envs[i],
-                            refs_penalty) *
-                            LbPruneMargin >=
-                        cutoff) {
-                    RBV_COUNT(ModelLbKeoghPrunes, 1);
-                    continue;
-                }
-                RBV_COUNT(ModelCascadeDpRuns, 1);
-                const double raw = dtwDistanceEarlyAbandon(
-                    refs_series[i], refs_series[j], refs_penalty,
-                    cutoff);
-                if (std::isinf(raw))
-                    continue;
-                dref = raw / len;
+                dref /= len;
             } else {
                 dref = dtwDistance(refs_series[i], refs_series[j],
                                    refs_penalty) /

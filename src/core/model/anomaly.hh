@@ -84,7 +84,8 @@ struct MetricPairAnomaly
  * with the higher mean CPI of the winning pair is the anomaly.
  *
  * @param refs_series   L2 refs/ins series per request.
- * @param cpi_series    CPI series per request (parallel).
+ * @param cpi_series    CPI series per request, parallel to
+ *                      @p refs_series (sizes must match; checked).
  * @param refs_penalty  DTW asynchrony penalty for the refs metric.
  * @param cpi_penalty   DTW asynchrony penalty for the CPI metric.
  */

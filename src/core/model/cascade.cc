@@ -15,26 +15,6 @@
 
 namespace rbv::core {
 
-namespace {
-
-constexpr double Inf = std::numeric_limits<double>::infinity();
-
-/**
- * The corner cells every warp path pays: (0,0) always, (m-1,n-1)
- * whenever it is a distinct cell. Shared by both bounds so
- * LB_Kim <= LB_Keogh is structural, never a rounding accident.
- */
-inline double
-cornerCost(const MetricSeries &x, const MetricSeries &y)
-{
-    const double c0 = std::abs(x.front() - y.front());
-    return (x.size() > 1 || y.size() > 1)
-               ? c0 + std::abs(x.back() - y.back())
-               : c0;
-}
-
-} // namespace
-
 void
 buildEnvelope(const MetricSeries &s, std::size_t radius,
               SeriesEnvelope &out)
@@ -75,6 +55,36 @@ buildEnvelope(const MetricSeries &s, std::size_t radius,
     sweep(false, out.lower);
 }
 
+namespace {
+
+constexpr double Inf = std::numeric_limits<double>::infinity();
+
+/**
+ * Conservative deflation applied to every lower bound before it is
+ * compared against a cutoff. The bounds are sound in real arithmetic,
+ * but their summation order differs from the DP's, so a computed
+ * bound can exceed the computed exact distance by a few ULPs on tight
+ * inputs; the margin absorbs relative rounding error many orders of
+ * magnitude beyond what the series lengths here can accumulate. It
+ * can only cost an extra DP run, never a wrong prune.
+ */
+constexpr double LbPruneMargin = 0.999;
+
+/**
+ * The corner cells every warp path pays: (0,0) always, (m-1,n-1)
+ * whenever it is a distinct cell. Shared by both bounds so
+ * LB_Kim <= LB_Keogh is structural, never a rounding accident.
+ */
+inline double
+cornerCost(const MetricSeries &x, const MetricSeries &y)
+{
+    const double c0 = std::abs(x.front() - y.front());
+    return (x.size() > 1 || y.size() > 1)
+               ? c0 + std::abs(x.back() - y.back())
+               : c0;
+}
+
+/** O(1) corner + length-mismatch bound; exact on empty inputs. */
 double
 lbKim(const MetricSeries &x, const MetricSeries &y,
       double async_penalty)
@@ -87,6 +97,10 @@ lbKim(const MetricSeries &x, const MetricSeries &y,
            static_cast<double>(diff) * async_penalty;
 }
 
+/**
+ * O(|x|) envelope bound of x against @p env_y (the envelope of y).
+ * Sound for any radius; identical to lbKim() below r = |m-n|.
+ */
 double
 lbKeogh(const MetricSeries &x, const MetricSeries &y,
         const SeriesEnvelope &env_y, double async_penalty)
@@ -127,14 +141,52 @@ lbKeogh(const MetricSeries &x, const MetricSeries &y,
     if (r >= std::max(m, n) - 1)
         return corners + in_band;
 
-    // Exit case: reaching offset |i-j| = r+1 and still ending at
-    // offset |m-n| takes at least 2*(r+1) - |m-n| asynchronous
-    // steps — the dtwDistanceBanded exactness-guard argument.
+    // Exit case: an asynchronous step moves the offset i-j by one, a
+    // synchronous step not at all. Going from offset 0 out to
+    // |i-j| = r+1 takes r+1 asynchronous steps, and coming back to
+    // the end offset m-n (|m-n| <= r here) at least r+1-|m-n| more.
     const double exit_cost =
         (2.0 * static_cast<double>(r + 1) -
          static_cast<double>(diff)) *
         async_penalty;
     return corners + std::min(in_band, exit_cost);
+}
+
+} // namespace
+
+double
+cascadeDtw(const MetricSeries &x, const MetricSeries &y,
+           double async_penalty, double cutoff,
+           const SeriesEnvelope &env_y, const SeriesEnvelope *env_x,
+           CascadeStats *tallies)
+{
+    if (std::isfinite(cutoff)) {
+        if (lbKim(x, y, async_penalty) * LbPruneMargin >= cutoff) {
+            RBV_COUNT(ModelLbKimPrunes, 1);
+            if (tallies)
+                ++tallies->kimPrunes;
+            return Inf;
+        }
+        if (lbKeogh(x, y, env_y, async_penalty) * LbPruneMargin >=
+                cutoff ||
+            (env_x && lbKeogh(y, x, *env_x, async_penalty) *
+                              LbPruneMargin >=
+                          cutoff)) {
+            RBV_COUNT(ModelLbKeoghPrunes, 1);
+            if (tallies)
+                ++tallies->keoghPrunes;
+            return Inf;
+        }
+    }
+    RBV_COUNT(ModelCascadeDpRuns, 1);
+    const double d =
+        dtwDistanceEarlyAbandon(x, y, async_penalty, cutoff);
+    if (tallies) {
+        ++tallies->dpRuns;
+        if (std::isinf(d))
+            ++tallies->eaAbandons;
+    }
+    return d;
 }
 
 DistanceCascade::DistanceCascade(const MetricSeries *const *items_,
@@ -170,13 +222,7 @@ DistanceCascade::packedIndex(std::size_t i, std::size_t j) const
 }
 
 double
-DistanceCascade::memoAt(std::size_t i, std::size_t j) const
-{
-    return i == j ? 0.0 : memo[packedIndex(i, j)];
-}
-
-double
-DistanceCascade::exact(std::size_t i, std::size_t j)
+DistanceCascade::exact(std::size_t i, std::size_t j) const
 {
     ++tallies.lookups;
     if (i == j)
@@ -194,7 +240,7 @@ DistanceCascade::exact(std::size_t i, std::size_t j)
 
 bool
 DistanceCascade::atMost(std::size_t i, std::size_t j, double cutoff,
-                        double &d)
+                        double &d) const
 {
     ++tallies.lookups;
     if (i == j) {
@@ -202,175 +248,37 @@ DistanceCascade::atMost(std::size_t i, std::size_t j, double cutoff,
         return true;
     }
     double &cell = memo[packedIndex(i, j)];
-    if (!std::isnan(cell)) {
-        ++tallies.memoHits;
-        if (cell >= cutoff)
+    if (std::isnan(cell)) {
+        const double raw =
+            cascadeDtw(*items[i], *items[j], asyncPenalty, cutoff,
+                       envelopes[j], &envelopes[i], &tallies);
+        // An infinite result proves d >= cutoff but is not an exact
+        // value: leave the memo cell unknown so a later query with a
+        // looser cutoff still gets the exact distance.
+        if (std::isinf(raw))
             return false;
-        d = cell;
-        return true;
+        cell = raw; // a finite result is the exact DP value
+    } else {
+        ++tallies.memoHits;
     }
-
-    const MetricSeries &x = *items[i];
-    const MetricSeries &y = *items[j];
-    if (lbKim(x, y, asyncPenalty) * LbPruneMargin >= cutoff) {
-        ++tallies.kimPrunes;
-        RBV_COUNT(ModelLbKimPrunes, 1);
+    if (cell >= cutoff)
         return false;
-    }
-    if (lbKeogh(x, y, envelopes[j], asyncPenalty) * LbPruneMargin >=
-            cutoff ||
-        lbKeogh(y, x, envelopes[i], asyncPenalty) * LbPruneMargin >=
-            cutoff) {
-        ++tallies.keoghPrunes;
-        RBV_COUNT(ModelLbKeoghPrunes, 1);
-        return false;
-    }
-
-    ++tallies.dpRuns;
-    RBV_COUNT(ModelCascadeDpRuns, 1);
-    const double raw =
-        dtwDistanceEarlyAbandon(x, y, asyncPenalty, cutoff);
-    if (std::isinf(raw)) {
-        // Provably >= cutoff, but not an exact value: leave the memo
-        // cell unknown so a later query with a looser cutoff still
-        // gets the exact distance.
-        ++tallies.eaAbandons;
-        return false;
-    }
-    cell = raw; // finite early-abandon result == the exact DP value
-    if (raw >= cutoff)
-        return false;
-    d = raw;
+    d = cell;
     return true;
 }
 
 double
-DistanceCascade::cheapLowerBound(std::size_t i, std::size_t j) const
+DistanceCascade::lowerBound(std::size_t i, std::size_t j) const
 {
     if (i == j)
         return 0.0;
-    const double cell = memoAt(i, j);
+    const double cell = memo[packedIndex(i, j)];
     if (!std::isnan(cell))
         return cell;
     // Deflated like every prune comparison: sum-abandon adds this to
     // a running cost and must never overshoot what the exact term
     // would have produced.
     return lbKim(*items[i], *items[j], asyncPenalty) * LbPruneMargin;
-}
-
-Clustering
-kMedoidsCascade(DistanceCascade &dc, std::size_t k, stats::Rng &rng,
-                std::size_t max_iter)
-{
-    RBV_PROF_SCOPE(KMedoids);
-    const std::size_t n = dc.size();
-    Clustering cl;
-    if (n == 0)
-        return cl;
-    k = std::min(k, n);
-
-    // Greedy max-min seeding, identical to kMedoids(): the max-min
-    // comparison consumes every distance's value, so seeding runs on
-    // exact (memoized) distances — k*n cells, a sliver of the
-    // n*(n-1)/2 the cascade saves later.
-    std::vector<std::size_t> medoids;
-    medoids.push_back(rng.uniformInt(n));
-    std::vector<double> min_d(n, Inf);
-    while (medoids.size() < k) {
-        for (std::size_t i = 0; i < n; ++i)
-            min_d[i] = std::min(min_d[i], dc.exact(i, medoids.back()));
-        std::size_t far = 0;
-        double far_d = -1.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (min_d[i] > far_d) {
-                far_d = min_d[i];
-                far = i;
-            }
-        }
-        medoids.push_back(far);
-    }
-
-    // Pruned nearest-medoid argmin. The winner is decided by strict
-    // <, so skipping any candidate with d >= best_d cannot change it
-    // — and that is exactly what atMost() proves when it returns
-    // false. The surviving winner's distance is the exact value, so
-    // best_d (and with it totalCost) matches the matrix path bit for
-    // bit.
-    auto assignOne = [&](std::size_t i, double &best_d) {
-        std::size_t best = 0;
-        best_d = Inf;
-        for (std::size_t c = 0; c < medoids.size(); ++c) {
-            double d;
-            if (dc.atMost(i, medoids[c], best_d, d) && d < best_d) {
-                best_d = d;
-                best = c;
-            }
-        }
-        return best;
-    };
-
-    std::vector<std::size_t> assign(n, 0);
-    std::vector<std::vector<std::size_t>> members(medoids.size());
-    for (std::size_t iter = 0; iter < max_iter; ++iter) {
-        for (std::size_t i = 0; i < n; ++i) {
-            double best_d;
-            assign[i] = assignOne(i, best_d);
-        }
-
-        for (auto &m : members)
-            m.clear();
-        for (std::size_t i = 0; i < n; ++i)
-            members[assign[i]].push_back(i);
-
-        // Re-election with sum-abandon: member sums accumulate in
-        // the same ascending order as kMedoids(), so a completed sum
-        // is the identical float. A candidate is dropped as soon as
-        // its partial sum plus a lower bound on the next term
-        // reaches best_cost — every remaining term is nonnegative
-        // and the incumbent is only displaced by strict <, so the
-        // true winner (whose full sum is strictly smaller) can never
-        // be dropped, and best_cost only ever holds fully-summed
-        // values.
-        bool changed = false;
-        for (std::size_t c = 0; c < medoids.size(); ++c) {
-            std::size_t best = medoids[c];
-            double best_cost = Inf;
-            for (const std::size_t i : members[c]) {
-                double cost = 0.0;
-                bool viable = true;
-                for (const std::size_t j : members[c]) {
-                    if (cost + dc.cheapLowerBound(i, j) >=
-                        best_cost) {
-                        viable = false;
-                        break;
-                    }
-                    cost += dc.exact(i, j);
-                }
-                if (viable && cost < best_cost) {
-                    best_cost = cost;
-                    best = i;
-                }
-            }
-            if (best != medoids[c]) {
-                medoids[c] = best;
-                changed = true;
-            }
-        }
-        if (!changed)
-            break;
-    }
-
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        double best_d;
-        assign[i] = assignOne(i, best_d);
-        total += best_d;
-    }
-
-    cl.medoids = std::move(medoids);
-    cl.assignment = std::move(assign);
-    cl.totalCost = total;
-    return cl;
 }
 
 } // namespace rbv::core

@@ -10,7 +10,7 @@
  * already exceeds the cutoff proves the exact O(m*n) dynamic program
  * could not have changed the answer — so it never runs.
  *
- * The cascade, cheapest first:
+ * The cascade, cheapest first (cascadeDtw() is its only copy):
  *
  *  1. LB_Kim, O(1): every warp path visits the two corner cells
  *     (0,0) and (m-1,n-1) and takes at least |m-n| asynchronous
@@ -23,32 +23,40 @@
  *
  *  2. LB_Keogh, O(m) against a precomputed Sakoe-Chiba envelope of
  *     y at radius r (U_i / L_i = max / min of y over [i-r, i+r],
- *     built with a monotonic deque in O(n)). A path either stays
- *     within |i-j| <= r — then every interior row i pays at least
- *     E_i = max(0, x_i - U_i, L_i - x_i) at its cheapest in-window
- *     column, on top of the corners and |m-n| penalties — or it
- *     leaves the band, which costs at least 2*(r+1) - |m-n|
- *     penalties (the same exit argument dtwDistanceBanded's
- *     exactness guard uses). The minimum of the two cases is sound:
+ *     built with a monotonic deque in O(n)). A warp path either
+ *     stays within the band |i-j| <= r or leaves it.
+ *
+ *     In the band, every interior row i is visited at some column
+ *     j with |i-j| <= r and pays at least
+ *     E_i = max(0, x_i - U_i, L_i - x_i) there, on top of the
+ *     corners and |m-n| penalties.
+ *
+ *     Leaving the band means reaching offset |i-j| = r+1. Each
+ *     asynchronous step moves the offset i-j by exactly 1 and a
+ *     synchronous step leaves it alone; the offset starts at 0 and
+ *     ends at m-n, with |m-n| <= r. Getting from 0 to +-(r+1) takes
+ *     r+1 asynchronous steps, and getting from there to m-n takes at
+ *     least (r+1) - |m-n| more, so the path pays at least
+ *     2*(r+1) - |m-n| penalties besides its corner cells. Hence
  *
  *         LB_Keogh = corners + min(|m-n|*p + sum_i E_i,
  *                                  (2*(r+1) - |m-n|) * p)
  *
  *     and the exit arm disappears when the band covers every cell.
  *     LB_Kim <= LB_Keogh <= DTW holds structurally (for r >= |m-n|;
- *     below that LB_Keogh degenerates to LB_Kim), which the property
- *     suite asserts on random inputs.
+ *     below that LB_Keogh degenerates to LB_Kim).
  *
  *  3. dtwDistanceEarlyAbandon seeded with the cutoff: the exact DP,
  *     abandoned once the last row's minimum is provably >= cutoff.
  *
  * Iron rule: the cascade only ever *skips* work whose result provably
  * could not alter a strict-< comparison against the cutoff, so every
- * consumer (kMedoidsCascade, streaming scoring, the anomaly pair
- * search) produces bit-identical results to the plain kernels. The
- * surviving DPs run on the same kernels as dtwDistance (rolling row
- * below 16 points, the anti-diagonal wavefront above) with the
- * abandon test armed, and memoize, so no cell is ever computed twice.
+ * consumer (k-medoids over a DistanceCascade, streaming scoring, the
+ * anomaly pair search) produces bit-identical results to the plain
+ * kernels. The surviving DPs run on the same kernels as dtwDistance
+ * (rolling row below 16 points, the anti-diagonal wavefront above)
+ * with the abandon test armed, and memoize, so no cell is ever
+ * computed twice.
  */
 
 #ifndef RBV_CORE_MODEL_CASCADE_HH
@@ -63,18 +71,6 @@
 #include "stats/rng.hh"
 
 namespace rbv::core {
-
-/**
- * Conservative deflation applied to every lower bound before it is
- * compared against a cutoff. The bounds are sound in real arithmetic,
- * but their summation order differs from the DP's, so a computed
- * bound can exceed the computed exact distance by a few ULPs on tight
- * inputs; the margin (same idiom as the banded-DTW exactness guard)
- * absorbs relative rounding error many orders of magnitude beyond
- * what the series lengths here can accumulate, keeping every prune
- * decision bit-safe.
- */
-inline constexpr double LbPruneMargin = 0.999;
 
 /** Sakoe-Chiba min/max envelope of one series at a fixed radius. */
 struct SeriesEnvelope
@@ -91,22 +87,6 @@ struct SeriesEnvelope
 void buildEnvelope(const MetricSeries &s, std::size_t radius,
                    SeriesEnvelope &out);
 
-/**
- * O(1) corner + length-mismatch lower bound on
- * dtwDistance(x, y, async_penalty). Equals the exact distance on
- * empty inputs.
- */
-double lbKim(const MetricSeries &x, const MetricSeries &y,
-             double async_penalty);
-
-/**
- * O(|x|) envelope lower bound of x against @p env_y (the envelope of
- * y). Sound for any radius; at least as tight as lbKim() when
- * env_y.radius >= |m-n|, identical to it otherwise.
- */
-double lbKeogh(const MetricSeries &x, const MetricSeries &y,
-               const SeriesEnvelope &env_y, double async_penalty);
-
 /** Where the cascade resolved its queries (per-instance tallies). */
 struct CascadeStats
 {
@@ -119,10 +99,34 @@ struct CascadeStats
 };
 
 /**
+ * One bounded query through the cascade: LB_Kim, then LB_Keogh of x
+ * against @p env_y (and of y against @p env_x when given), then the
+ * early-abandon DP seeded with @p cutoff. Returns +infinity once a
+ * stage proves dtwDistance(x, y, async_penalty) >= cutoff, and
+ * otherwise the exact distance, bit-identical to dtwDistance() — it
+ * may still be >= cutoff (the cascade is sound, not complete). An
+ * infinite cutoff skips the bounds, which could never reach it.
+ *
+ * Each resolution bumps the model.lb_kim_prunes,
+ * model.lb_keogh_prunes or model.cascade_dp_runs counter (the DP
+ * counts model.dtw_early_abandons itself) and, when given,
+ * @p tallies.
+ */
+double cascadeDtw(const MetricSeries &x, const MetricSeries &y,
+                  double async_penalty, double cutoff,
+                  const SeriesEnvelope &env_y,
+                  const SeriesEnvelope *env_x = nullptr,
+                  CascadeStats *tallies = nullptr);
+
+/**
  * Memoizing cascade oracle over a fixed set of series: per-series
  * envelopes built up front, a packed n*(n-1)/2 memo of exact
  * distances filled on demand, and the LB cascade answering
  * bounded queries without running the DP when it can.
+ *
+ * Queries are logically const — they only fill the memo and the
+ * tallies — so kMedoids() takes the cascade like any other distance
+ * oracle. Not thread-safe, const queries included.
  */
 class DistanceCascade
 {
@@ -137,13 +141,12 @@ class DistanceCascade
                     double async_penalty);
 
     std::size_t size() const { return count; }
-    double penalty() const { return asyncPenalty; }
 
     /**
      * Exact dtwDistance(items[i], items[j]), memoized. Bit-identical
      * to calling the kernel directly.
      */
-    double exact(std::size_t i, std::size_t j);
+    double exact(std::size_t i, std::size_t j) const;
 
     /**
      * Bounded query: when the cascade proves
@@ -151,43 +154,34 @@ class DistanceCascade
      * skipping the DP entirely when a lower bound suffices.
      * Otherwise computes (and memoizes) the exact distance into
      * @p d and returns true. A true result is always the exact,
-     * bit-identical distance; @p d may still be >= cutoff (the
-     * cascade is sound, not complete).
+     * bit-identical distance, and below @p cutoff unless i == j.
      */
     bool atMost(std::size_t i, std::size_t j, double cutoff,
-                double &d);
+                double &d) const;
 
     /**
      * O(1) lower bound: the memoized exact value when known, LB_Kim
-     * deflated by LbPruneMargin otherwise. For sum-abandon checks in
-     * re-election loops.
+     * deflated by the prune margin otherwise. For sum-abandon checks
+     * in re-election loops.
      */
-    double cheapLowerBound(std::size_t i, std::size_t j) const;
+    double lowerBound(std::size_t i, std::size_t j) const;
 
     const CascadeStats &stats() const { return tallies; }
 
   private:
-    double memoAt(std::size_t i, std::size_t j) const;
     std::size_t packedIndex(std::size_t i, std::size_t j) const;
 
     const MetricSeries *const *items;
     std::size_t count;
     double asyncPenalty;
     std::vector<SeriesEnvelope> envelopes;
-    std::vector<double> memo; ///< NaN = unknown, packed upper tri.
-    CascadeStats tallies;
+    mutable std::vector<double> memo; ///< NaN = unknown, packed.
+    mutable CascadeStats tallies;
 };
 
-/**
- * k-medoids over a DistanceCascade: the same algorithm, iteration
- * count, strict-< tie-breaks and floating-point summation order as
- * kMedoids() over a fully materialized DistanceMatrix — the result
- * is bit-identical by construction, which the property suite pins —
- * but assignment candidates and re-election sums are abandoned via
- * the lower-bound cascade, so most pairwise DPs never run.
- */
-Clustering kMedoidsCascade(DistanceCascade &dc, std::size_t k,
-                           stats::Rng &rng, std::size_t max_iter = 50);
+extern template Clustering kMedoids(const DistanceCascade &,
+                                    std::size_t, stats::Rng &,
+                                    std::size_t);
 
 } // namespace rbv::core
 

@@ -162,178 +162,6 @@ dtwDistance(const MetricSeries &x, const MetricSeries &y,
 }
 
 double
-dtwDistanceBanded(const MetricSeries &x, const MetricSeries &y,
-                  double async_penalty, std::size_t band)
-{
-    RBV_PROF_SCOPE(DtwBanded);
-    const std::size_t m = x.size(), n = y.size();
-    if (m == 0 || n == 0)
-        return static_cast<double>(m + n) * async_penalty;
-
-    DistanceScratch &scratch = threadDistanceScratch();
-    const std::size_t diff = m > n ? m - n : n - m;
-
-    // The guard below can only certify exactness when leaving the
-    // band costs something, and the band must contain the end cell
-    // (|i-j| = diff there) to admit any path at all.
-    if (async_penalty <= 0.0 || band < diff) {
-        RBV_COUNT(ModelDtwBandFallbacks, 1);
-        return dtwFull(x.data(), m, y.data(), n, async_penalty,
-                       scratch);
-    }
-    if (band >= std::max(m, n) - 1) {
-        // The band covers every cell; the banded DP IS the full DP.
-        RBV_COUNT(ModelDtwBandExact, 1);
-        return dtwFull(x.data(), m, y.data(), n, async_penalty,
-                       scratch);
-    }
-
-    // The certification threshold the banded result must beat.
-    const double lb_exit =
-        async_penalty * (2.0 * static_cast<double>(band + 1) -
-                         static_cast<double>(diff));
-    const double cert = lb_exit * 0.999;
-
-    // O(1) pre-check: every warp path pays the corner cells and one
-    // penalty per length-mismatch step, so this is a lower bound on
-    // the banded optimum. When it already exceeds the certification
-    // threshold, the banded DP cannot possibly certify — running it
-    // would be pure double work (the regression BENCH_distance.json
-    // recorded at len 512) — so go straight to the full kernel.
-    {
-        const double corner0 = std::abs(x.front() - y.front());
-        const double corner1 = (m > 1 || n > 1)
-                                   ? std::abs(x.back() - y.back())
-                                   : 0.0;
-        const double lb_pre = static_cast<double>(diff) *
-                                  async_penalty +
-                              corner0 + corner1;
-        if (lb_pre > cert) {
-            RBV_COUNT(ModelDtwBandSkips, 1);
-            return dtwFull(x.data(), m, y.data(), n, async_penalty,
-                           scratch);
-        }
-    }
-
-    // Greedy in-band upper-bound probe, O(m+n) with early bail: walk
-    // one monotone in-band warp path, always taking the locally
-    // cheapest step, and stop as soon as the accumulated cost
-    // exceeds the certification threshold. If the probe finishes at
-    // or below it, the banded optimum certifies a fortiori (it can
-    // only be cheaper than this one path), so the band DP is
-    // guaranteed to pay off. Otherwise the band is a gamble this
-    // kernel no longer takes: it goes straight to the full kernel
-    // instead of risking the pre-PR double-work regression
-    // (BENCH_distance.json once showed banded 826 µs vs full 810 µs
-    // at len 512 for exactly this reason).
-    {
-        const double *xs = x.data(), *ys = y.data();
-        double acc = std::abs(xs[0] - ys[0]);
-        std::size_t i = 0, j = 0;
-        while ((i + 1 < m || j + 1 < n) && acc <= cert) {
-            double step = Inf;
-            int dir = 0;
-            if (i + 1 < m && j + 1 < n) {
-                step = std::abs(xs[i + 1] - ys[j + 1]);
-                dir = 3;
-            }
-            // Down/right successors only while they stay in band
-            // (the forced edge moves at the end always do, because
-            // the end cell itself is in band).
-            if (i + 1 < m && i + 1 <= j + band) {
-                const double c =
-                    async_penalty + std::abs(xs[i + 1] - ys[j]);
-                if (c < step) {
-                    step = c;
-                    dir = 1;
-                }
-            }
-            if (j + 1 < n && j + 1 <= i + band) {
-                const double c =
-                    async_penalty + std::abs(xs[i] - ys[j + 1]);
-                if (c < step) {
-                    step = c;
-                    dir = 2;
-                }
-            }
-            acc += step;
-            if (dir != 2)
-                ++i;
-            if (dir != 1)
-                ++j;
-        }
-        if (acc > cert) {
-            RBV_COUNT(ModelDtwBandSkips, 1);
-            return dtwFull(xs, m, ys, n, async_penalty, scratch);
-        }
-    }
-
-    // Banded DP over cells with |i - j| <= band. Rows carry one
-    // sentinel slot past the band edge so the recurrence can read
-    // out-of-band neighbors as +inf without branching.
-    auto [prev, cur] = scratch.dtwRowPair(n + 1);
-    const double *xs = x.data(), *ys = y.data();
-
-    std::size_t hi = std::min(n - 1, band);
-    prev[0] = std::abs(xs[0] - ys[0]);
-    for (std::size_t j = 1; j <= hi; ++j)
-        prev[j] = prev[j - 1] + std::abs(xs[0] - ys[j]) + async_penalty;
-    prev[hi + 1] = Inf;
-
-    for (std::size_t i = 1; i < m; ++i) {
-        const std::size_t lo = i > band ? i - band : 0;
-        hi = std::min(n - 1, i + band);
-        const double xi = xs[i];
-        std::size_t j = lo;
-        double row_min = Inf;
-        if (lo == 0) {
-            row_min = cur[0] =
-                prev[0] + std::abs(xi - ys[0]) + async_penalty;
-            j = 1;
-        } else {
-            cur[lo - 1] = Inf;
-        }
-        for (; j <= hi; ++j) {
-            const double best = min3(prev[j - 1],
-                                     prev[j] + async_penalty,
-                                     cur[j - 1] + async_penalty);
-            cur[j] = best + std::abs(xi - ys[j]);
-            row_min = std::min(row_min, cur[j]);
-        }
-        cur[hi + 1] = Inf;
-        std::swap(prev, cur);
-        // Any in-band path crosses every row, and later steps only
-        // add nonnegative cost, so the row minimum bounds the banded
-        // optimum from below. Strictly above the certification
-        // threshold the guard below is already doomed: abandon the
-        // doomed half of the double work and go straight to full.
-        // (Strict >: a result exactly at the threshold still
-        // certifies, matching the guard's <=.)
-        if (row_min > cert) {
-            RBV_COUNT(ModelDtwBandSkips, 1);
-            return dtwFull(xs, m, ys, n, async_penalty, scratch);
-        }
-    }
-    const double banded = prev[n - 1];
-
-    // Exactness guard: any warp path leaving the band reaches an
-    // |i-j| offset of band+1, so it takes at least
-    // 2*(band+1) - |m-n| asynchronous steps and costs at least that
-    // many penalties. If the banded optimum is already cheaper, no
-    // outside path can beat it and the banded value is the exact
-    // DTW. The 0.999 margin absorbs floating-point summation slack
-    // on the conservative side.
-    if (banded <= cert) {
-        RBV_COUNT(ModelDtwBandExact, 1);
-        RBV_DCHECK(std::isfinite(banded),
-                   "dtwDistanceBanded produced a non-finite value");
-        return banded;
-    }
-    RBV_COUNT(ModelDtwBandFallbacks, 1);
-    return dtwFull(xs, m, ys, n, async_penalty, scratch);
-}
-
-double
 dtwDistanceEarlyAbandon(const MetricSeries &x, const MetricSeries &y,
                         double async_penalty, double cutoff)
 {

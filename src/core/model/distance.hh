@@ -52,24 +52,6 @@ double dtwDistance(const MetricSeries &x, const MetricSeries &y,
                    double async_penalty = 0.0);
 
 /**
- * DTW through a Sakoe-Chiba band of half-width @p band (cells with
- * |i - j| <= band), with an exactness guard: the result is ALWAYS
- * the exact unbanded DTW value, bit-identical to dtwDistance().
- *
- * The band is a go-fast attempt, not an approximation. Any warp path
- * that leaves the band must take at least 2*(band+1) - |m-n| extra
- * asynchronous steps, so when the banded optimum already costs less
- * than that many penalties, no outside path can beat it and the
- * banded result is provably exact. Otherwise (including the whole
- * async_penalty == 0 regime, where leaving the band is free) the
- * kernel falls back to the full O(m*n) recurrence. The obs counters
- * model.dtw_band_exact / model.dtw_band_fallbacks report the hit
- * rate.
- */
-double dtwDistanceBanded(const MetricSeries &x, const MetricSeries &y,
-                         double async_penalty, std::size_t band);
-
-/**
  * Early-abandoning DTW for nearest-neighbor style queries: returns
  * the exact DTW value (bit-identical to dtwDistance()) when it is
  * provably below @p cutoff, and +infinity as soon as a whole DP row

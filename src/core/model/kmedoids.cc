@@ -11,6 +11,8 @@
 #include <limits>
 #include <thread>
 
+#include "core/model/cascade.hh"
+
 namespace rbv::core {
 
 namespace detail {
@@ -78,26 +80,30 @@ Clustering::membersOf(std::size_t cluster) const
     return out;
 }
 
+template <typename Oracle>
 Clustering
-kMedoids(const DistanceMatrix &dm, std::size_t k, stats::Rng &rng,
+kMedoids(const Oracle &dist, std::size_t k, stats::Rng &rng,
          std::size_t max_iter)
 {
     RBV_PROF_SCOPE(KMedoids);
-    const std::size_t n = dm.size();
+    constexpr double Inf = std::numeric_limits<double>::infinity();
+    const std::size_t n = dist.size();
     Clustering cl;
     if (n == 0)
         return cl;
     k = std::min(k, n);
 
     // Greedy max-min seeding: random first medoid, then repeatedly
-    // the item farthest from all chosen medoids.
+    // the item farthest from all chosen medoids. The max-min
+    // comparison consumes every distance's value, so seeding asks
+    // for exact distances — k*n of them, a sliver of the n*(n-1)/2 a
+    // bounding oracle saves later.
     std::vector<std::size_t> medoids;
     medoids.push_back(rng.uniformInt(n));
-    std::vector<double> min_d(n,
-                              std::numeric_limits<double>::infinity());
+    std::vector<double> min_d(n, Inf);
     while (medoids.size() < k) {
         for (std::size_t i = 0; i < n; ++i)
-            min_d[i] = std::min(min_d[i], dm.at(i, medoids.back()));
+            min_d[i] = std::min(min_d[i], dist.exact(i, medoids.back()));
         std::size_t far = 0;
         double far_d = -1.0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -109,52 +115,57 @@ kMedoids(const DistanceMatrix &dm, std::size_t k, stats::Rng &rng,
         medoids.push_back(far);
     }
 
+    // Nearest-medoid argmin. The winner is decided by strict <, so
+    // skipping any candidate with d >= best_d cannot change it — and
+    // that is exactly what atMost() proves when it returns false.
+    // The winner's distance is exact, so best_d (and with it
+    // totalCost) is the same under every oracle, bit for bit.
+    auto assignOne = [&](std::size_t i, double &best_d) {
+        std::size_t best = 0;
+        best_d = Inf;
+        for (std::size_t c = 0; c < medoids.size(); ++c) {
+            double d;
+            if (dist.atMost(i, medoids[c], best_d, d) && d < best_d) {
+                best_d = d;
+                best = c;
+            }
+        }
+        return best;
+    };
+
     std::vector<std::size_t> assign(n, 0);
     std::vector<std::vector<std::size_t>> members(medoids.size());
     for (std::size_t iter = 0; iter < max_iter; ++iter) {
-        // Assignment step.
         for (std::size_t i = 0; i < n; ++i) {
-            std::size_t best = 0;
-            double best_d = std::numeric_limits<double>::infinity();
-            for (std::size_t c = 0; c < medoids.size(); ++c) {
-                const double d = dm.at(i, medoids[c]);
-                if (d < best_d) {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            assign[i] = best;
+            double best_d;
+            assign[i] = assignOne(i, best_d);
         }
 
-        // Medoid re-election over explicit member lists: summing over
-        // members[c] in ascending item order visits exactly the items
-        // the old full scan visited, in the same order, so the float
-        // sums and the strict-< tie-breaks are unchanged — only the
-        // O(k * n^2) skip-scan cost drops to O(sum |c|^2).
         for (auto &m : members)
             m.clear();
         for (std::size_t i = 0; i < n; ++i)
             members[assign[i]].push_back(i);
 
+        // Medoid re-election over explicit member lists, summing in
+        // ascending item order, with sum-abandon: a candidate is
+        // dropped as soon as its partial sum plus a lower bound on
+        // the next term reaches best_cost. Every remaining term is
+        // nonnegative and the incumbent only falls to a strictly
+        // smaller full sum, so the true winner is never dropped, and
+        // best_cost only ever holds fully-summed values.
         bool changed = false;
         for (std::size_t c = 0; c < medoids.size(); ++c) {
             std::size_t best = medoids[c];
-            double best_cost = std::numeric_limits<double>::infinity();
+            double best_cost = Inf;
             for (const std::size_t i : members[c]) {
                 double cost = 0.0;
                 bool viable = true;
                 for (const std::size_t j : members[c]) {
-                    // Sum-abandon: terms are nonnegative and the
-                    // incumbent only falls to a strictly smaller
-                    // full sum, so once the partial sum reaches
-                    // best_cost this candidate is out — and
-                    // best_cost still only ever holds fully-summed
-                    // values, keeping the elected medoid identical.
-                    if (cost >= best_cost) {
+                    if (cost + dist.lowerBound(i, j) >= best_cost) {
                         viable = false;
                         break;
                     }
-                    cost += dm.at(i, j);
+                    cost += dist.exact(i, j);
                 }
                 if (viable && cost < best_cost) {
                     best_cost = cost;
@@ -170,19 +181,10 @@ kMedoids(const DistanceMatrix &dm, std::size_t k, stats::Rng &rng,
             break;
     }
 
-    // Final assignment and cost.
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        std::size_t best = 0;
-        double best_d = std::numeric_limits<double>::infinity();
-        for (std::size_t c = 0; c < medoids.size(); ++c) {
-            const double d = dm.at(i, medoids[c]);
-            if (d < best_d) {
-                best_d = d;
-                best = c;
-            }
-        }
-        assign[i] = best;
+        double best_d;
+        assign[i] = assignOne(i, best_d);
         total += best_d;
     }
 
@@ -191,6 +193,11 @@ kMedoids(const DistanceMatrix &dm, std::size_t k, stats::Rng &rng,
     cl.totalCost = total;
     return cl;
 }
+
+template Clustering kMedoids(const DistanceMatrix &, std::size_t,
+                             stats::Rng &, std::size_t);
+template Clustering kMedoids(const DistanceCascade &, std::size_t,
+                             stats::Rng &, std::size_t);
 
 double
 divergenceFromCentroid(const Clustering &cl,

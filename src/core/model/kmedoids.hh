@@ -6,7 +6,8 @@
  * defined, so the paper replaces the k-means cluster mean with a
  * cluster centroid request: the member whose summed distance to all
  * other members is minimal. This module implements that algorithm
- * over a precomputed pairwise distance matrix.
+ * once, over any distance oracle: a precomputed pairwise distance
+ * matrix here, the lower-bound cascade in cascade.hh.
  */
 
 #ifndef RBV_CORE_MODEL_KMEDOIDS_HH
@@ -97,6 +98,23 @@ class DistanceMatrix
             d[packedIndex(i, j)] = v;
     }
 
+    /** @name Distance-oracle queries for kMedoids(), all exact. */
+    /// @{
+    double exact(std::size_t i, std::size_t j) const { return at(i, j); }
+
+    bool
+    atMost(std::size_t i, std::size_t j, double cutoff, double &out) const
+    {
+        const double v = at(i, j);
+        if (v >= cutoff)
+            return false;
+        out = v;
+        return true;
+    }
+
+    double lowerBound(std::size_t i, std::size_t j) const { return at(i, j); }
+    /// @}
+
     /** The packed upper triangle (row-major, row i = columns > i). */
     const std::vector<double> &packed() const { return d; }
 
@@ -146,21 +164,38 @@ struct Clustering
 };
 
 /**
- * Run k-medoids (Voronoi iteration / PAM-lite):
- * greedy max-min seeding, then alternate (a) assign each item to its
- * nearest medoid and (b) re-elect each cluster's medoid as the member
- * minimizing summed intra-cluster distance, until stable. The
+ * Run k-medoids (Voronoi iteration / PAM-lite) over a distance
+ * oracle: greedy max-min seeding, then alternate (a) assign each item
+ * to its nearest medoid and (b) re-elect each cluster's medoid as the
+ * member minimizing summed intra-cluster distance, until stable. The
  * re-election step walks per-cluster member lists — O(sum |c|^2)
- * total instead of O(k * n^2) — with results identical to the full
- * scan.
+ * total instead of O(k * n^2).
  *
- * @param dm       Pairwise distances.
+ * The oracle answers four const queries over items 0 .. size()-1:
+ *  - size(): the item count;
+ *  - exact(i, j): the distance;
+ *  - atMost(i, j, cutoff, d): false only when d(i, j) >= cutoff is
+ *    proven, otherwise true with the exact distance in d;
+ *  - lowerBound(i, j): never above exact(i, j).
+ * Every decision is a strict-< comparison that a proven
+ * d >= cutoff cannot flip, and every sum adds exact values in the
+ * same order, so the clustering is bit-identical for any oracle over
+ * the same distances. The function is explicitly instantiated for
+ * DistanceMatrix (every query answered from the matrix) and
+ * DistanceCascade (cascade.hh: lower bounds skip most DPs).
+ *
+ * @param dist     Distance oracle.
  * @param k        Number of clusters (clamped to the item count).
  * @param rng      Seeding randomness (first medoid).
  * @param max_iter Iteration cap.
  */
-Clustering kMedoids(const DistanceMatrix &dm, std::size_t k,
-                    stats::Rng &rng, std::size_t max_iter = 50);
+template <typename Oracle>
+Clustering kMedoids(const Oracle &dist, std::size_t k, stats::Rng &rng,
+                    std::size_t max_iter = 50);
+
+extern template Clustering kMedoids(const DistanceMatrix &,
+                                    std::size_t, stats::Rng &,
+                                    std::size_t);
 
 /**
  * Classification quality per the paper's Fig. 7: each request's

@@ -5,11 +5,8 @@
 
 #include "core/model/streaming.hh"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
-
-#include "core/model/distance.hh"
-#include "obs/obs.hh"
 
 namespace rbv::core {
 
@@ -91,12 +88,12 @@ StreamingClusterModel::recluster()
     for (std::size_t i = 0; i < s; ++i)
         sample[i] = window[idx[i]];
 
-    // Cascade path: bit-identical to the historical
-    // DistanceMatrix::build + kMedoids pair (the streaming-vs-batch
+    // Over the cascade the clustering is bit-identical to kMedoids
+    // over the full DistanceMatrix (the streaming-vs-batch
     // equivalence tests pin this), but most pairwise DPs are pruned
-    // by the lower-bound cascade instead of computed.
+    // by a lower bound instead of computed.
     DistanceCascade dc(sample.data(), s, cfg.asyncPenalty);
-    lastClustering = kMedoidsCascade(dc, cfg.k, rng);
+    lastClustering = kMedoids(dc, cfg.k, rng);
 
     meds.clear();
     meds.reserve(lastClustering.medoids.size());
@@ -113,62 +110,20 @@ StreamingClusterModel::recluster()
     ++reclusters;
 }
 
-namespace {
-
-/**
- * Nearest-medoid min/argmin with the LB cascade. A medoid is skipped
- * only when a sound lower bound (or the abandoned DP) proves its
- * distance >= the incumbent best, and the incumbent only falls to a
- * strictly smaller exact value — so the returned index and distance
- * are bit-identical to the plain scan over dtwDistance().
- */
-std::size_t
-nearestByCascade(const MetricSeries &series,
-                 const std::vector<MetricSeries> &meds,
-                 const std::vector<SeriesEnvelope> &envs, double p,
-                 double &best_d)
-{
-    std::size_t best = ~std::size_t{0};
-    best_d = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < meds.size(); ++i) {
-        if (std::isfinite(best_d)) {
-            if (lbKim(series, meds[i], p) * LbPruneMargin >= best_d) {
-                RBV_COUNT(ModelLbKimPrunes, 1);
-                continue;
-            }
-            if (lbKeogh(series, meds[i], envs[i], p) * LbPruneMargin >=
-                best_d) {
-                RBV_COUNT(ModelLbKeoghPrunes, 1);
-                continue;
-            }
-        }
-        RBV_COUNT(ModelCascadeDpRuns, 1);
-        const double d =
-            dtwDistanceEarlyAbandon(series, meds[i], p, best_d);
-        if (d < best_d) {
-            best_d = d;
-            best = i;
-        }
-    }
-    return best;
-}
-
-} // namespace
-
 double
 StreamingClusterModel::scoreOf(const MetricSeries &series) const
 {
-    double best;
-    nearestByCascade(series, meds, medEnvs, cfg.asyncPenalty, best);
+    // Nearest-medoid min through the LB cascade. A medoid is skipped
+    // only when a sound lower bound (or the abandoned DP) proves its
+    // distance >= the incumbent best, and the incumbent only falls to
+    // a strictly smaller exact value — so the score is bit-identical
+    // to the plain min over dtwDistance().
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < meds.size(); ++i)
+        best = std::min(best, cascadeDtw(series, meds[i],
+                                         cfg.asyncPenalty, best,
+                                         medEnvs[i]));
     return best;
-}
-
-std::size_t
-StreamingClusterModel::nearestMedoid(const MetricSeries &series) const
-{
-    double best_d;
-    return nearestByCascade(series, meds, medEnvs, cfg.asyncPenalty,
-                            best_d);
 }
 
 void

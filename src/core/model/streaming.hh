@@ -10,8 +10,8 @@
  *  - StreamingSignatureBank: reservoir-sampled online admission into
  *    a fixed-capacity SignatureBank;
  *  - StreamingClusterModel: CLARA-style sampled k-medoids re-cluster
- *    over a sliding window of recent request series, reusing the
- *    packed DistanceMatrix on the sample;
+ *    over a sliding window of recent request series, run over the
+ *    lower-bound DistanceCascade of the sample;
  *  - WindowedAnomalyDetector: the centroid-anomaly core over a
  *    sliding window — the batch detectCentroidAnomaly() entry point
  *    is a thin wrapper that feeds every series through a detector
@@ -85,14 +85,14 @@ class StreamingSignatureBank
 /**
  * Bounded-memory online k-medoids: a sliding window of the most
  * recent request series, periodically re-clustered CLARA-style on a
- * uniform sample of the window (the sample's packed DistanceMatrix
- * is the same code path the batch benches use). Medoid series are
- * copied out, so they stay valid as the window slides.
+ * uniform sample of the window (kMedoids() over a DistanceCascade of
+ * the sample, the same clustering the batch benches get). Medoid
+ * series are copied out, so they stay valid as the window slides.
  *
  * With window and sample at least the stream length, a final
- * recluster() is exactly the batch DistanceMatrix + kMedoids run
- * over all series in arrival order — the equivalence the
- * streaming-vs-batch tests pin down.
+ * recluster() gives exactly the clustering of the batch
+ * DistanceMatrix + kMedoids run over all series in arrival order —
+ * the equivalence the streaming-vs-batch tests pin down.
  */
 class StreamingClusterModel
 {
@@ -105,7 +105,6 @@ class StreamingClusterModel
         double asyncPenalty = 0.0; ///< DTW asynchrony penalty.
         /** Re-cluster after this many new series (0 = manual only). */
         std::size_t reclusterEvery = 256;
-        int jobs = 1; ///< DistanceMatrix build parallelism.
     };
 
     StreamingClusterModel(Config cfg_, stats::Rng rng_)
@@ -133,14 +132,9 @@ class StreamingClusterModel
     /** DTW distance to the nearest medoid (infinity before any). */
     double scoreOf(const MetricSeries &series) const;
 
-    /** Index of the nearest medoid (npos before any recluster). */
-    std::size_t nearestMedoid(const MetricSeries &series) const;
-
     std::size_t observedCount() const { return seen; }
     std::size_t windowSize() const { return ring.size(); }
     std::size_t reclusterCount() const { return reclusters; }
-
-    static constexpr std::size_t npos = ~std::size_t{0};
 
   private:
     /** Window contents in arrival order (oldest first). */

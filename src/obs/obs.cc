@@ -55,18 +55,12 @@ counterName(Counter c)
         return "fi.injections";
       case Counter::ModelDistanceCells:
         return "model.distance_cells";
-      case Counter::ModelDtwBandExact:
-        return "model.dtw_band_exact";
-      case Counter::ModelDtwBandFallbacks:
-        return "model.dtw_band_fallbacks";
       case Counter::ModelDtwEarlyAbandons:
         return "model.dtw_early_abandons";
       case Counter::ModelLevBitParallel:
         return "model.lev_bit_parallel";
       case Counter::ModelLevDpFallbacks:
         return "model.lev_dp_fallbacks";
-      case Counter::ModelDtwBandSkips:
-        return "model.dtw_band_skips";
       case Counter::ModelLbKimPrunes:
         return "model.lb_kim_prunes";
       case Counter::ModelLbKeoghPrunes:
@@ -152,8 +146,6 @@ profName(Prof p)
         return "sim.event_queue_pump";
       case Prof::DtwDistance:
         return "model.dtw";
-      case Prof::DtwBanded:
-        return "model.dtw_banded";
       case Prof::DtwEarlyAbandon:
         return "model.dtw_early_abandon";
       case Prof::LevenshteinDistance:

@@ -86,12 +86,9 @@ enum class Counter : std::uint16_t
     ExpJobsCompleted,
     FiInjections,
     ModelDistanceCells,
-    ModelDtwBandExact,
-    ModelDtwBandFallbacks,
     ModelDtwEarlyAbandons,
     ModelLevBitParallel,
     ModelLevDpFallbacks,
-    ModelDtwBandSkips,
     ModelLbKimPrunes,
     ModelLbKeoghPrunes,
     ModelCascadeDpRuns,
@@ -161,7 +158,6 @@ enum class Prof : std::uint16_t
 {
     EventQueuePump,
     DtwDistance,
-    DtwBanded,
     DtwEarlyAbandon,
     LevenshteinDistance,
     SignatureIdentify,

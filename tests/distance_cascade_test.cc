@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <vector>
 
+#include "core/model/anomaly.hh"
 #include "core/model/cascade.hh"
 #include "core/model/distance.hh"
 #include "core/model/distance_ref.hh"
@@ -20,6 +22,7 @@
 #include "core/model/dtw_simd.hh"
 #include "core/model/kmedoids.hh"
 #include "core/model/signature.hh"
+#include "obs/obs.hh"
 #include "stats/rng.hh"
 
 using namespace rbv;
@@ -106,13 +109,19 @@ TEST(Envelope, ZeroRadiusIsTheSeriesItself)
     EXPECT_EQ(e.upper, s);
 }
 
-// -------------------------------------------------------- bound chains
+// --------------------------------------------------------- bound chain
 
-TEST(LowerBounds, KimLeqKeoghLeqExactOnRandomPairs)
+TEST(LowerBounds, ChainNeverPrunesJustAboveExact)
 {
+    // At a cutoff one ulp above the exact value a sound cascade must
+    // reach the DP and return that value: any stage pruning here had
+    // a (margin-deflated) bound above the exact DTW. Radii fall on
+    // both sides of |m-n|, where LB_Keogh's envelope arm switches
+    // on, and reach past max(m,n), where its exit arm switches off.
+    constexpr double Inf = std::numeric_limits<double>::infinity();
     stats::Rng rng(202);
     const double penalties[] = {0.0, 0.3, 1.0, 5.0};
-    for (int trial = 0; trial < 120; ++trial) {
+    for (int trial = 0; trial < 240; ++trial) {
         const std::size_t m =
             1 + static_cast<std::size_t>(rng.uniformInt(48));
         const std::size_t n =
@@ -120,32 +129,27 @@ TEST(LowerBounds, KimLeqKeoghLeqExactOnRandomPairs)
         const auto x = randomSeries(m, rng);
         const auto y = randomSeries(n, rng);
         const double p = penalties[trial % 4];
-        const std::size_t diff = m > n ? m - n : n - m;
-
-        // Radius at least the length difference: the regime where the
-        // Kim <= Keogh ordering holds structurally. Smaller radii are
-        // exercised for soundness below.
         const std::size_t r =
-            diff + static_cast<std::size_t>(rng.uniformInt(8));
-        SeriesEnvelope env;
-        buildEnvelope(y, r, env);
-
+            static_cast<std::size_t>(rng.uniformInt(m + n));
+        SeriesEnvelope env_x, env_y;
+        buildEnvelope(x, r, env_x);
+        buildEnvelope(y, r, env_y);
         const double exact = ref::dtwDistance(x, y, p);
-        const double kim = lbKim(x, y, p);
-        const double keogh = lbKeogh(x, y, env, p);
-        ASSERT_LE(kim, keogh) << "m=" << m << " n=" << n << " p=" << p;
-        // The bounds are sound in real arithmetic but summed in a
-        // different order than the DP, so compare the way every
-        // prune site does: deflated by LbPruneMargin.
-        ASSERT_LE(keogh * LbPruneMargin, exact)
+        ASSERT_EQ(cascadeDtw(x, y, p, std::nextafter(exact, Inf), env_y,
+                             &env_x),
+                  exact)
             << "m=" << m << " n=" << n << " p=" << p << " r=" << r;
     }
 }
 
-TEST(LowerBounds, KeoghSoundAtAnyRadius)
+TEST(LowerBounds, ChainRejectionsAreSoundAndEveryStageFires)
 {
+    // Below the exact value every stage may reject; each rejection
+    // must be a true d >= cutoff, and on these inputs both bounds
+    // and the abandoning DP each get to reject something.
     stats::Rng rng(303);
-    for (int trial = 0; trial < 120; ++trial) {
+    CascadeStats tallies;
+    for (int trial = 0; trial < 400; ++trial) {
         const std::size_t m =
             1 + static_cast<std::size_t>(rng.uniformInt(40));
         const std::size_t n =
@@ -153,14 +157,22 @@ TEST(LowerBounds, KeoghSoundAtAnyRadius)
         const auto x = randomSeries(m, rng);
         const auto y = randomSeries(n, rng);
         const double p = 0.25 * static_cast<double>(trial % 5);
-        const std::size_t r =
-            static_cast<std::size_t>(rng.uniformInt(50));
-        SeriesEnvelope env;
-        buildEnvelope(y, r, env);
-        ASSERT_LE(lbKeogh(x, y, env, p) * LbPruneMargin,
-                  ref::dtwDistance(x, y, p))
-            << "m=" << m << " n=" << n << " p=" << p << " r=" << r;
+        const std::size_t diff = m > n ? m - n : n - m;
+        SeriesEnvelope env_y;
+        buildEnvelope(y, diff + 2, env_y);
+        const double exact = ref::dtwDistance(x, y, p);
+        const double cutoff = exact * rng.uniform(0.05, 1.5);
+        const double got = cascadeDtw(x, y, p, cutoff, env_y, nullptr,
+                                      &tallies);
+        if (std::isinf(got))
+            ASSERT_GE(exact, cutoff) << "m=" << m << " n=" << n;
+        else
+            ASSERT_EQ(got, exact) << "m=" << m << " n=" << n;
     }
+    EXPECT_GT(tallies.kimPrunes, 0u);
+    EXPECT_GT(tallies.keoghPrunes, 0u);
+    EXPECT_GT(tallies.eaAbandons, 0u);
+    EXPECT_GT(tallies.dpRuns, tallies.eaAbandons);
 }
 
 TEST(LowerBounds, FlatSeriesAndZeroPenalty)
@@ -170,12 +182,15 @@ TEST(LowerBounds, FlatSeriesAndZeroPenalty)
     // generic inputs.
     const MetricSeries flat_a(30, 2.0);
     const MetricSeries flat_b(13, 2.0);
-    SeriesEnvelope env;
-    buildEnvelope(flat_b, 20, env);
+    SeriesEnvelope env_a, env_b;
+    buildEnvelope(flat_a, 20, env_a);
+    buildEnvelope(flat_b, 20, env_b);
     const double exact = ref::dtwDistance(flat_a, flat_b, 0.0);
-    EXPECT_LE(lbKim(flat_a, flat_b, 0.0), exact);
-    EXPECT_LE(lbKeogh(flat_a, flat_b, env, 0.0), exact);
     EXPECT_DOUBLE_EQ(exact, 0.0);
+    EXPECT_EQ(cascadeDtw(flat_a, flat_b, 0.0,
+                         std::numeric_limits<double>::denorm_min(),
+                         env_b, &env_a),
+              exact);
 }
 
 // ----------------------------------------------------- kernel dispatch
@@ -290,7 +305,7 @@ TEST(Cascade, AtMostFalseImpliesExactAtLeastCutoff)
     }
 }
 
-TEST(Cascade, CheapLowerBoundNeverExceedsExact)
+TEST(Cascade, LowerBoundNeverExceedsExact)
 {
     constexpr std::size_t N = 16;
     std::vector<MetricSeries> series;
@@ -302,12 +317,12 @@ TEST(Cascade, CheapLowerBoundNeverExceedsExact)
     DistanceCascade dc(items.data(), N, 1.3);
     for (std::size_t i = 0; i < N; ++i)
         for (std::size_t j = 0; j < N; ++j) {
-            const double lb = dc.cheapLowerBound(i, j);
+            const double lb = dc.lowerBound(i, j);
             ASSERT_LE(lb, ref::dtwDistance(series[i], series[j], 1.3));
         }
 }
 
-TEST(Cascade, KMedoidsCascadeBitIdenticalToKMedoids)
+TEST(Cascade, KMedoidsOverCascadeBitIdenticalToOverMatrix)
 {
     constexpr std::size_t N = 48;
     std::vector<MetricSeries> series;
@@ -331,7 +346,7 @@ TEST(Cascade, KMedoidsCascadeBitIdenticalToKMedoids)
 
             DistanceCascade dc(items.data(), N, p);
             stats::Rng r2(33);
-            const auto casc = kMedoidsCascade(dc, k, r2);
+            const auto casc = kMedoids(dc, k, r2);
 
             ASSERT_EQ(plain.medoids, casc.medoids)
                 << "p=" << p << " k=" << k;
@@ -344,6 +359,70 @@ TEST(Cascade, KMedoidsCascadeBitIdenticalToKMedoids)
                 << "p=" << p << " k=" << k;
         }
     }
+}
+
+// ------------------------------------------------ pinned work counters
+
+namespace {
+
+/** The four cascade counters of a finished session. */
+std::array<std::uint64_t, 4>
+cascadeCounters(const obs::Session &session)
+{
+    const auto m = session.mergedMetrics();
+    const auto at = [&](obs::Counter c) {
+        return m.counters[static_cast<std::size_t>(c)];
+    };
+    return {at(obs::Counter::ModelLbKimPrunes),
+            at(obs::Counter::ModelLbKeoghPrunes),
+            at(obs::Counter::ModelCascadeDpRuns),
+            at(obs::Counter::ModelDtwEarlyAbandons)};
+}
+
+} // namespace
+
+// rbvbench exercises only the streaming consumers of the cascade, so
+// these two pin the prune, DP and abandon counts of the other two —
+// k-medoids over a DistanceCascade and the metric-pair search. Any
+// change to the order or strength of the checks shows up here as a
+// moved count. {kim, keogh, dp runs, early abandons}.
+
+TEST(CascadeCounters, KMedoidsOverCascadeFixedSeed)
+{
+    obs::Session session;
+    if (!obs::attached())
+        GTEST_SKIP() << "obs compiled out (RBV_OBS=0)";
+    constexpr std::size_t N = 48;
+    std::vector<MetricSeries> series;
+    for (std::size_t i = 0; i < N; ++i)
+        series.push_back(classSeries(40 + i % 24, i % 4, i + 21));
+    std::vector<const MetricSeries *> items;
+    for (const auto &s : series)
+        items.push_back(&s);
+    DistanceCascade dc(items.data(), N, 1.0);
+    stats::Rng rng(33);
+    const auto cl = kMedoids(dc, 4, rng);
+    EXPECT_EQ(cl.medoids, (std::vector<std::size_t>{8, 35, 33, 34}));
+    EXPECT_EQ(cascadeCounters(session),
+              (std::array<std::uint64_t, 4>{55, 116, 427, 14}));
+}
+
+TEST(CascadeCounters, MetricPairAnomalyFixedSeed)
+{
+    obs::Session session;
+    if (!obs::attached())
+        GTEST_SKIP() << "obs compiled out (RBV_OBS=0)";
+    constexpr std::size_t N = 32;
+    std::vector<MetricSeries> refs, cpi;
+    for (std::size_t i = 0; i < N; ++i) {
+        refs.push_back(classSeries(30 + i % 12, i % 3, i + 51));
+        cpi.push_back(classSeries(30 + i % 12, (i * 7) % 5, i + 91));
+    }
+    const auto det = detectMetricPairAnomaly(refs, cpi, 0.5, 0.5);
+    EXPECT_EQ(det.anomaly, 27u);
+    EXPECT_EQ(det.reference, 15u);
+    EXPECT_EQ(cascadeCounters(session),
+              (std::array<std::uint64_t, 4>{459, 4, 32, 26}));
 }
 
 // ---------------------------------------------------- early abandoning

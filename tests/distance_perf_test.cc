@@ -1,8 +1,8 @@
 /**
  * @file
  * Golden-equivalence suite for the request-differencing fast path:
- * every optimized kernel (flat-buffer DTW, banded DTW, early-abandon
- * DTW, bit-parallel Levenshtein, parallel matrix build) must agree
+ * every optimized kernel (flat-buffer DTW, early-abandon DTW,
+ * bit-parallel Levenshtein, parallel matrix build) must agree
  * with the preserved pre-optimization reference kernels in
  * rbv::core::ref to the last bit, on randomized inputs and on the
  * degenerate edges (empty, length-1, all-equal). The parallel build
@@ -84,32 +84,6 @@ TEST(DistanceGolden, DtwMatchesReferenceOnEdges)
             for (const double p : {0.0, 0.5})
                 EXPECT_EQ(dtwDistance(x, y, p),
                           ref::dtwDistance(x, y, p));
-}
-
-TEST(DistanceGolden, BandedDtwAlwaysExact)
-{
-    stats::Rng rng(11);
-    for (int it = 0; it < 200; ++it) {
-        const auto x = randomSeries(rng, 48);
-        const auto y = randomSeries(rng, 48);
-        for (const double p : {0.0, 0.4, 2.0}) {
-            const double exact = ref::dtwDistance(x, y, p);
-            for (const std::size_t band : {0u, 1u, 3u, 8u, 64u}) {
-                EXPECT_EQ(dtwDistanceBanded(x, y, p, band), exact)
-                    << "it=" << it << " p=" << p << " band=" << band
-                    << " m=" << x.size() << " n=" << y.size();
-            }
-        }
-    }
-}
-
-TEST(DistanceGolden, BandedDtwExactOnEdges)
-{
-    for (const auto &x : edgeSeries())
-        for (const auto &y : edgeSeries())
-            for (const std::size_t band : {0u, 2u, 16u})
-                EXPECT_EQ(dtwDistanceBanded(x, y, 0.5, band),
-                          ref::dtwDistance(x, y, 0.5));
 }
 
 TEST(DistanceGolden, EarlyAbandonSoundAndExactWhenFinite)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/check.hh"
+#include "core/model/anomaly.hh"
 #include "core/model/distance.hh"
 #include "exp/analysis.hh"
 #include "exp/scenario.hh"
@@ -343,6 +344,18 @@ TEST(CheckTripDeath, EarlyAbandonNegativePenaltyAborts)
               5.0); // legal
     EXPECT_DEATH(core::dtwDistanceEarlyAbandon(x, y, -1.0, 5.0),
                  "RBV_DCHECK failed.*async_penalty >= 0");
+}
+
+TEST(CheckTripDeath, MetricPairSeriesSizeMismatchAborts)
+{
+    // The pair search reads cpi_series[i] for every refs index, so a
+    // shorter CPI list would be read past its end.
+    const std::vector<core::MetricSeries> refs(3,
+                                               core::MetricSeries(8, 0.02));
+    const std::vector<core::MetricSeries> cpi(2,
+                                              core::MetricSeries(8, 1.5));
+    EXPECT_DEATH(core::detectMetricPairAnomaly(refs, cpi, 0.01, 0.5),
+                 "RBV_CHECK failed.*parallel series");
 }
 
 TEST(Invariant, ChannelFifoAcrossManyWaiters)
