@@ -12,6 +12,8 @@
  * The BM_EventQueue* and BM_Machine* benchmarks time the untimed
  * layer under all of it: the simulator's event queue and the machine
  * rate model, which every simulated state change goes through.
+ * BM_SlidingQuantileObserve times the serving loop's rolling anomaly
+ * threshold, read and updated once per completed request.
  *
  * The BM_Obs* benchmarks bound the observability layer's own cost
  * (ISSUE 3 acceptance): dormant sites (no session attached) must be
@@ -30,6 +32,7 @@
 #include "obs/obs.hh"
 #include "sim/event_queue.hh"
 #include "sim/machine.hh"
+#include "stats/online.hh"
 #include "stats/rng.hh"
 
 using namespace rbv;
@@ -187,8 +190,9 @@ BM_ObsSignatureIdentifyActive(benchmark::State &state)
 /**
  * Cancel + re-schedule one event at the tick it was cancelled at,
  * with range(0) events live: the re-arm Machine::scheduleBoundaries()
- * performs for every core on every state change. 20000 live events
- * is the cluster benchmark's upfront arrival backlog.
+ * performs for every core on every state change, spelled as the two
+ * calls EventQueue::rearm stands for. 20000 live events is the
+ * cluster benchmark's upfront arrival backlog.
  */
 void
 BM_EventQueueRearm(benchmark::State &state)
@@ -206,6 +210,30 @@ BM_EventQueueRearm(benchmark::State &state)
     for (auto _ : state) {
         benchmark::DoNotOptimize(eq.cancel(ids[k]));
         ids[k] = eq.schedule(whens[k], [] {});
+        k = k + 1 == live ? 0 : k + 1;
+    }
+}
+
+/**
+ * The same re-arm as BM_EventQueueRearm, in place: EventQueue::rearm
+ * keeps the slot and the callback and re-sifts one heap entry.
+ */
+void
+BM_EventQueueRearmInPlace(benchmark::State &state)
+{
+    const auto live = static_cast<std::size_t>(state.range(0));
+    sim::EventQueue eq;
+    std::vector<sim::EventId> ids(live);
+    std::vector<sim::Tick> whens(live);
+    stats::Rng rng(6);
+    for (std::size_t i = 0; i < live; ++i) {
+        whens[i] = 1 + rng.uniformInt(1000000);
+        ids[i] = eq.schedule(whens[i], [] {});
+    }
+    std::size_t k = 0;
+    for (auto _ : state) {
+        ids[k] = eq.rearm(ids[k], whens[k]);
+        benchmark::DoNotOptimize(ids[k]);
         k = k + 1 == live ? 0 : k + 1;
     }
 }
@@ -239,40 +267,95 @@ BM_EventQueuePop(benchmark::State &state)
         benchmark::DoNotOptimize(hm.eq.runOne());
 }
 
+/** The default 4-core, two-domain machine with every core busy. */
+struct BusyMachine
+{
+    sim::EventQueue eq;
+    sim::MachineConfig mc;
+    sim::Machine m{mc, eq};
+
+    BusyMachine()
+    {
+        sim::WorkParams wp;
+        wp.baseCpi = 0.9;
+        wp.refsPerIns = 0.02;
+        wp.curve.workingSetBytes = 3.0 * 1024 * 1024;
+        wp.curve.baseMissRatio = 0.05;
+        for (sim::CoreId c = 0; c < mc.numCores; ++c) {
+            m.setWork(c, wp, 1e12);
+            m.armCycleTimer(c, 1e6, [] {});
+        }
+    }
+};
+
 /**
- * One machine state change with every core of the default 4-core,
- * two-domain machine busy: rate recompute (two water-fills and the
- * CPI / latency solve) plus the boundary and timer re-arm that
- * follows it, driven through setOccupancy() at a fixed tick.
+ * One machine state change on a BusyMachine: rate recompute (two
+ * water-fills and the CPI / latency solve) plus the boundary and
+ * timer re-arm that follows it, driven through setOccupancy() at a
+ * fixed tick. The footprint moves every time, so the rate-solve memo
+ * always misses.
  */
 void
 BM_MachineRecomputeRates(benchmark::State &state)
 {
-    sim::EventQueue eq;
-    sim::MachineConfig mc;
-    sim::Machine m(mc, eq);
-    sim::WorkParams wp;
-    wp.baseCpi = 0.9;
-    wp.refsPerIns = 0.02;
-    wp.curve.workingSetBytes = 3.0 * 1024 * 1024;
-    wp.curve.baseMissRatio = 0.05;
-    for (sim::CoreId c = 0; c < mc.numCores; ++c) {
-        m.setWork(c, wp, 1e12);
-        m.armCycleTimer(c, 1e6, [] {});
-    }
+    BusyMachine bm;
     double occ = 0.0;
     for (auto _ : state) {
-        m.setOccupancy(0, occ);
-        benchmark::DoNotOptimize(m.currentCpi(0));
+        bm.m.setOccupancy(0, occ);
+        benchmark::DoNotOptimize(bm.m.currentCpi(0));
         occ = occ < 2.0e6 ? occ + 4096.0 : 0.0;
+    }
+}
+
+/**
+ * BM_MachineRecomputeRates with the footprint restored to the value
+ * it already has: after the first few solves reach their fixed point
+ * the rate-solve memo hits, leaving the water-fills and the re-arm.
+ */
+void
+BM_MachineRecomputeRatesMemoHit(benchmark::State &state)
+{
+    BusyMachine bm;
+    for (auto _ : state) {
+        bm.m.setOccupancy(0, 1.0e6);
+        benchmark::DoNotOptimize(bm.m.currentCpi(0));
+    }
+}
+
+/**
+ * RollingAnomalyScorer::observe's window work: read the 0.99 quantile
+ * of the last range(0) scores, then add a new score, evicting the
+ * oldest. range(0) spans the serving loop's windows: the hedge
+ * quantile (128), the anomaly window (1024) and the latency window
+ * (8192).
+ */
+void
+BM_SlidingQuantileObserve(benchmark::State &state)
+{
+    const auto window = static_cast<std::size_t>(state.range(0));
+    stats::SlidingQuantile q(window);
+    stats::Rng rng(8);
+    std::vector<double> scores(4096);
+    for (double &x : scores)
+        x = rng.logNormal(0.0, 0.5);
+    for (std::size_t i = 0; i < window; ++i)
+        q.add(scores[i % scores.size()]);
+    std::size_t k = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(q.quantile(0.99));
+        q.add(scores[k]);
+        k = k + 1 == scores.size() ? 0 : k + 1;
     }
 }
 
 } // namespace
 
 BENCHMARK(BM_EventQueueRearm)->Arg(8)->Arg(64)->Arg(20000);
+BENCHMARK(BM_EventQueueRearmInPlace)->Arg(8)->Arg(64)->Arg(20000);
 BENCHMARK(BM_EventQueuePop)->Arg(8)->Arg(64)->Arg(20000);
 BENCHMARK(BM_MachineRecomputeRates);
+BENCHMARK(BM_MachineRecomputeRatesMemoHit);
+BENCHMARK(BM_SlidingQuantileObserve)->Arg(128)->Arg(1024)->Arg(8192);
 BENCHMARK(BM_VaEwmaObserve);
 BENCHMARK(BM_ObsCounterDormant);
 BENCHMARK(BM_ObsCounterActive);

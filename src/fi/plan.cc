@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
+#include "core/check.hh"
 #include "stats/rng.hh"
 
 namespace rbv::fi {
@@ -96,6 +98,14 @@ std::string trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
+/// The whole of @p text as a finite number, or false.
+bool parseFinite(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return end != text.c_str() && *end == '\0' && std::isfinite(out);
+}
+
 bool parseOneFault(const std::string &text, FaultSpec &out,
                    std::string &error)
 {
@@ -140,6 +150,14 @@ bool parseOneFault(const std::string &text, FaultSpec &out,
                     "\"";
             return false;
         }
+        // Every parameter is numeric, and an infinite or NaN one
+        // reaches casts to integer ticks downstream.
+        double number = 0.0;
+        if (!parseFinite(value, number)) {
+            error = "parameter \"" + key + "\" of fault \"" + name +
+                    "\" is not a finite number: \"" + value + "\"";
+            return false;
+        }
         out.params[key] = value;
     }
     return true;
@@ -158,18 +176,13 @@ double FaultSpec::param(const std::string &key, double def) const
     auto it = params.find(key);
     if (it == params.end())
         return def;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || end == nullptr || *end != '\0')
-        return def;
+    double v = 0.0;
+    RBV_CHECK(parseFinite(it->second, v),
+              "parameter \"" << key << "\" of fault \""
+                             << faultName(kind)
+                             << "\" is not a finite number: \""
+                             << it->second << "\"");
     return v;
-}
-
-std::string FaultSpec::paramStr(const std::string &key,
-                                const std::string &def) const
-{
-    auto it = params.find(key);
-    return it == params.end() ? def : it->second;
 }
 
 bool FaultPlan::parse(const std::string &spec, FaultPlan &out,

@@ -11,8 +11,9 @@
  *     <param>    ::= <key> '=' <value>
  *
  * e.g. `--faults="irq-drop(p=0.2);req-stuck(p=0.05,mult=4)"`.
- * Unknown fault names and parameters are parse errors — a typo in a
- * fault plan must never silently inject nothing.
+ * Unknown fault names and parameters, and values that are not finite
+ * numbers, are parse errors — a typo in a fault plan must never
+ * silently inject nothing (or inject something unbounded).
  *
  * Plans carry no randomness: the same plan combined with the same
  * scenario seed produces the identical injection sequence regardless
@@ -72,12 +73,12 @@ struct FaultSpec
     /** Raw parameters, keyed by the grammar's <key> tokens. */
     std::map<std::string, std::string> params;
 
-    /** Numeric parameter with default; parse errors yield @p def. */
+    /**
+     * Numeric parameter, or @p def if absent. A value that is not a
+     * finite number aborts: parse() rejects one, so it can only come
+     * from a spec built by hand.
+     */
     double param(const std::string &key, double def) const;
-
-    /** String parameter with default. */
-    std::string paramStr(const std::string &key,
-                         const std::string &def) const;
 };
 
 /**
@@ -89,8 +90,8 @@ class FaultPlan
   public:
     /**
      * Parse a CLI spec string. Returns false and sets @p error on an
-     * unknown fault name, an unknown parameter, or a grammar error;
-     * parsing is all-or-nothing.
+     * unknown fault name, an unknown parameter, a value that is not a
+     * finite number, or a grammar error; parsing is all-or-nothing.
      */
     static bool parse(const std::string &spec, FaultPlan &out,
                       std::string &error);

@@ -572,10 +572,9 @@ void
 Kernel::resetQuantum(sim::CoreId core)
 {
     CoreSched &cs = coreSched[core];
-    if (cs.quantumEv != sim::InvalidEventId)
-        eventQueue().cancel(cs.quantumEv);
-    cs.quantumEv = eventQueue().scheduleIn(
-        sched->quantum(), [this, core] { quantumFired(core); });
+    auto &eq = eventQueue();
+    cs.quantumEv = eq.reschedule(cs.quantumEv, eq.now() + sched->quantum(),
+                                 [this, core] { quantumFired(core); });
 }
 
 void

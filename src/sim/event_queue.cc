@@ -35,11 +35,7 @@ EventQueue::schedule(Tick when, Callback cb)
     if (!freeSlots.empty()) {
         idx = freeSlots.back();
         freeSlots.pop_back();
-        // A wrapped generation would let a stale handle cancel this
-        // slot's new event.
-        RBV_CHECK(slots[idx].gen <= maxGeneration,
-                  "event slot " << idx << " exhausted its "
-                                << maxGeneration << " generations");
+        checkGeneration(idx);
     } else {
         RBV_CHECK(slots.size() < maxSlots,
                   "event slot table full: " << slots.size()
@@ -55,22 +51,64 @@ EventQueue::schedule(Tick when, Callback cb)
     return (s.gen << SlotBits) | idx;
 }
 
+EventId
+EventQueue::rearm(EventId id, Tick when)
+{
+    const std::uint32_t idx = pendingSlot(id);
+    if (idx == NotInHeap)
+        return InvalidEventId;
+    RBV_CHECK(when >= curTick,
+              "event scheduled into the past: when=" << when
+                  << " now=" << curTick);
+    // cancel() + schedule() would free this slot and take it straight
+    // back (the free list is LIFO): a new generation, the same slot.
+    Slot &s = slots[idx];
+    ++s.gen;
+    checkGeneration(idx);
+    HeapEntry &e = heap[s.heapPos];
+    e.when = when;
+    e.seq = nextSeq++;
+    resift(s.heapPos);
+    RBV_COUNT(SimEventsCancelled, 1);
+    RBV_COUNT(SimEventsScheduled, 1);
+    return (s.gen << SlotBits) | idx;
+}
+
 bool
 EventQueue::cancel(EventId id)
 {
-    const auto idx = static_cast<std::uint32_t>(id & MaxSlots);
-    if (idx >= slots.size())
+    const std::uint32_t idx = pendingSlot(id);
+    if (idx == NotInHeap)
         return false;
-    Slot &s = slots[idx];
-    if (s.heapPos == NotInHeap || s.gen != id >> SlotBits)
-        return false; // fired, cancelled, or never issued
-    RBV_DCHECK(heap[s.heapPos].slot == idx,
-               "heap position of slot " << idx << " is stale");
-    removeAt(s.heapPos);
-    s.cb = nullptr;
+    removeAt(slots[idx].heapPos);
+    slots[idx].cb = nullptr;
     release(idx);
     RBV_COUNT(SimEventsCancelled, 1);
     return true;
+}
+
+std::uint32_t
+EventQueue::pendingSlot(EventId id) const
+{
+    const auto idx = static_cast<std::uint32_t>(id & MaxSlots);
+    if (idx >= slots.size())
+        return NotInHeap;
+    const Slot &s = slots[idx];
+    if (s.heapPos == NotInHeap || s.gen != id >> SlotBits)
+        return NotInHeap; // fired, cancelled, or never issued
+    RBV_DCHECK(heap[s.heapPos].slot == idx,
+               "heap position of slot " << idx << " is stale");
+    return idx;
+}
+
+void
+EventQueue::checkGeneration(std::uint32_t slot) const
+{
+    // A wrapped generation would let a stale handle cancel this
+    // slot's new event.
+    RBV_CHECK(slots[slot].gen <= maxGeneration,
+              "event slot " << slot << " exhausted its "
+                            << maxGeneration << " generations");
 }
 
 bool
@@ -148,6 +186,15 @@ EventQueue::siftDown(std::size_t pos)
 }
 
 void
+EventQueue::resift(std::size_t pos)
+{
+    if (pos > 0 && before(heap[pos], heap[(pos - 1) / 2]))
+        siftUp(pos);
+    else
+        siftDown(pos);
+}
+
+void
 EventQueue::removeAt(std::size_t pos)
 {
     slots[heap[pos].slot].heapPos = NotInHeap;
@@ -156,10 +203,7 @@ EventQueue::removeAt(std::size_t pos)
     if (pos == heap.size())
         return;
     heap[pos] = last;
-    if (pos > 0 && before(last, heap[(pos - 1) / 2]))
-        siftUp(pos);
-    else
-        siftDown(pos);
+    resift(pos);
 }
 
 void

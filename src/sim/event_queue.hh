@@ -5,9 +5,10 @@
  * Events live in a flat table of reusable slots. A binary heap of
  * (tick, sequence, slot) entries orders the live events, and each slot
  * records where its entry sits in the heap, so cancel() removes an
- * event from the heap at once: the heap never holds a cancelled entry. Events scheduled for the
- * same tick fire in scheduling order, which keeps runs fully
- * deterministic.
+ * event from the heap at once: the heap never holds a cancelled
+ * entry, and rearm() moves a pending event to a new tick without
+ * touching its slot or callback. Events scheduled for the same tick
+ * fire in scheduling order, which keeps runs fully deterministic.
  */
 
 #ifndef RBV_SIM_EVENT_QUEUE_HH
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -86,6 +88,33 @@ class EventQueue
      */
     bool cancel(EventId id);
 
+    /**
+     * Move a pending event to tick @p when (>= now), keeping its
+     * callback. Observably the same as cancel(id) followed by
+     * schedule(when, <id's callback>): the old handle dies, the event
+     * takes the next sequence number (so it fires after every event
+     * already scheduled for @p when), and it counts as one cancelled
+     * and one scheduled event.
+     * @return The event's new handle, or InvalidEventId (and nothing
+     *         changes) if @p id is not pending.
+     */
+    EventId rearm(EventId id, Tick when);
+
+    /**
+     * rearm(id, when) if @p id is pending, else schedule(when, cb):
+     * the same as cancel(id) then schedule(when, cb) whenever @p cb
+     * is the callback @p id was scheduled with.
+     */
+    template <class F>
+    EventId
+    reschedule(EventId id, Tick when, F &&cb)
+    {
+        const EventId moved = rearm(id, when);
+        return moved != InvalidEventId
+                   ? moved
+                   : schedule(when, Callback(std::forward<F>(cb)));
+    }
+
     /** True if no pending (non-cancelled) events remain. */
     bool empty() const { return heap.empty(); }
 
@@ -149,8 +178,17 @@ class EventQueue
     void siftUp(std::size_t pos);
     void siftDown(std::size_t pos);
 
+    /** Restore heap order around an entry whose key changed. */
+    void resift(std::size_t pos);
+
     /** Remove the heap entry at @p pos, keeping the heap valid. */
     void removeAt(std::size_t pos);
+
+    /** Slot of @p id if it names a pending event, else NotInHeap. */
+    std::uint32_t pendingSlot(EventId id) const;
+
+    /** Abort if @p slot's next event would exceed its generations. */
+    void checkGeneration(std::uint32_t slot) const;
 
     /** Return a slot whose event fired or was cancelled to the pool. */
     void release(std::uint32_t slot);

@@ -206,7 +206,9 @@ class Machine
 
         double occupancy = 0.0;
 
-        // Derived rates, valid for the current window.
+        // Derived rates, valid for the current window. Only
+        // recomputeRates() writes them, except that setWork() seeds
+        // effCpi, which is part of the rate memo's key.
         double effCpi = 1.0;
         double insPerCycle = 0.0;
         double missRatio = 0.0;
@@ -243,8 +245,17 @@ class Machine
     /** Re-derive all per-core rates from the current co-runner set. */
     void recomputeRates();
 
+    /**
+     * Write the rate solve's current input into the memo key.
+     * @return True if it differs, bit for bit, from the last solve's.
+     */
+    bool rateInputChanged();
+
     /** (Re)schedule boundary and timer events per current rates. */
     void scheduleBoundaries();
+
+    /** The tick @p cycles (finite, >= 0) after now, rounded up. */
+    Tick tickAfter(double cycles) const;
 
     /** Total fixed-work cycles pending on a core. */
     static double fixedCyclesPending(const CoreState &c);
@@ -275,6 +286,19 @@ class Machine
         std::vector<double> weights, wsets, targets;
         std::vector<unsigned char> capped;
     } fill;
+
+    /**
+     * Rate-solve memo: the input of the last full solve of passes
+     * 2-4, RateKeyFields doubles per core. While it is valid and
+     * matches the current input bit for bit, the outputs in CoreState
+     * and memLatency are still exactly that solve's, so the solve is
+     * skipped. Valid only after a solve that left every CPI seed
+     * unchanged, and sound only because nothing but recomputeRates()
+     * writes those outputs; see docs/PERFORMANCE.md "Rate-solve memo".
+     */
+    static constexpr std::size_t RateKeyFields = 8;
+    std::vector<double> rateKey;
+    bool rateKeyValid = false;
 
     MemoryModel memory;
     double memLatency;

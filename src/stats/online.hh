@@ -254,10 +254,13 @@ class EwmaMeanVar
 
 /**
  * Exact quantiles over a sliding window of the last `capacity`
- * observations. A ring buffer holds the window; quantile() selects
- * with nth_element on a scratch copy. Memory is bounded by the
- * window size and results are deterministic (no sketch error), which
- * keeps serve checkpoints byte-identical across runs.
+ * observations. A ring buffer holds the window in arrival order and a
+ * sorted copy beside it holds the same values in order, so add() is
+ * one binary search and one shift of the values between the evicted
+ * and the added one, and quantile() is a read. Memory is bounded by
+ * twice the window size and results are deterministic (no sketch
+ * error), which keeps serve checkpoints byte-identical across runs.
+ * Observations must not be NaN, which has no place in an order.
  */
 class SlidingQuantile
 {
@@ -266,18 +269,32 @@ class SlidingQuantile
         : cap(capacity_ ? capacity_ : 1)
     {
         ring.reserve(cap);
+        sorted.reserve(cap);
     }
 
     void
     add(double x)
     {
+        ++total;
+        const auto in = std::lower_bound(sorted.begin(), sorted.end(), x);
         if (ring.size() < cap) {
             ring.push_back(x);
-        } else {
-            ring[head] = x;
-            head = (head + 1) % cap;
+            sorted.insert(in, x);
+            return;
         }
-        ++total;
+        const double old = ring[head];
+        ring[head] = x;
+        head = (head + 1) % cap;
+        // Overwrite one copy of the evicted value, moving the values
+        // that lie between it and x over by one.
+        const auto out = std::lower_bound(sorted.begin(), sorted.end(), old);
+        if (in > out) {
+            std::move(out + 1, in, out);
+            *(in - 1) = x;
+        } else {
+            std::move_backward(in, out, out + 1);
+            *in = x;
+        }
     }
 
     /** Observations currently in the window. */
@@ -293,30 +310,23 @@ class SlidingQuantile
     double
     quantile(double q) const
     {
-        if (ring.empty())
+        if (sorted.empty())
             return 0.0;
-        scratch = ring;
-        double clamped = q;
-        if (clamped < 0.0)
-            clamped = 0.0;
-        if (clamped > 1.0)
-            clamped = 1.0;
-        std::size_t idx = static_cast<std::size_t>(
-            clamped * static_cast<double>(scratch.size() - 1));
-        std::nth_element(scratch.begin(),
-                         scratch.begin() + static_cast<std::ptrdiff_t>(idx),
-                         scratch.end());
-        return scratch[idx];
+        const double clamped = std::clamp(q, 0.0, 1.0);
+        return sorted[static_cast<std::size_t>(
+            clamped * static_cast<double>(sorted.size() - 1))];
     }
 
     double median() const { return quantile(0.5); }
 
   private:
     std::size_t cap;
+    /** The window in arrival order; head is its oldest value. */
     std::vector<double> ring;
     std::size_t head = 0;
+    /** The window's values in ascending order. */
+    std::vector<double> sorted;
     std::size_t total = 0;
-    mutable std::vector<double> scratch;
 };
 
 } // namespace rbv::stats

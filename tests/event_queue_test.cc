@@ -3,12 +3,14 @@
  * Unit tests for the discrete event queue, plus a differential test
  * against a reference model: the original priority-queue + map queue
  * with lazy cancellation, kept here as the oracle for the slot-table
- * queue's firing order and bookkeeping.
+ * queue's firing order and bookkeeping. The oracle has no in-place
+ * re-arm: it applies rearm() as the cancel + schedule it stands for.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <iterator>
 #include <map>
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hh"
 #include "sim/event_queue.hh"
 #include "stats/rng.hh"
 
@@ -220,6 +223,138 @@ TEST(EventQueue, CancelForeignHandlesIsFalse)
     EXPECT_EQ(eq.size(), 1u);
 }
 
+// ----------------------------------------------------------- rearm
+
+TEST(EventQueueRearm, HandlesThatAreNotPendingChangeNothing)
+{
+    EventQueue eq;
+    bool fired = false;
+    const EventId cancelled = eq.schedule(10, [] {});
+    ASSERT_TRUE(eq.cancel(cancelled));
+    const EventId done = eq.schedule(10, [] {});
+    ASSERT_TRUE(eq.runOne());
+    const EventId live = eq.schedule(20, [&] { fired = true; });
+    EventQueue other;
+    for (int i = 0; i < 3; ++i)
+        other.schedule(5, [] {});
+    const EventId foreign = other.schedule(5, [] {}); // slot 3
+
+    // Cancelled, fired, invalid, out-of-table and foreign handles:
+    // the live event must neither move nor lose its handle.
+    EXPECT_EQ(eq.rearm(cancelled, 30), InvalidEventId);
+    EXPECT_EQ(eq.rearm(done, 30), InvalidEventId);
+    EXPECT_EQ(eq.rearm(InvalidEventId, 30), InvalidEventId);
+    EXPECT_EQ(eq.rearm(EventQueue::MaxSlots - 1, 30), InvalidEventId);
+    EXPECT_EQ(eq.rearm(foreign, 30), InvalidEventId);
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_EQ(eq.firedCount(), 1u);
+    eq.runUntil(25);
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(eq.now(), 20u);
+    EXPECT_EQ(eq.rearm(live, 30), InvalidEventId); // fired too
+}
+
+TEST(EventQueueRearm, EarlierEqualAndLaterTicks)
+{
+    EventQueue eq;
+    std::vector<char> order;
+    const EventId a = eq.schedule(10, [&] { order.push_back('a'); });
+    const EventId b = eq.schedule(20, [&] { order.push_back('b'); });
+    eq.schedule(20, [&] { order.push_back('c'); });
+    const EventId d = eq.schedule(30, [&] { order.push_back('d'); });
+
+    // Equal tick: b takes a new sequence number, so it fires after c.
+    const EventId b2 = eq.rearm(b, 20);
+    ASSERT_NE(b2, InvalidEventId);
+    EXPECT_NE(b2, b);
+    // Earlier: d jumps ahead of everything.
+    ASSERT_NE(eq.rearm(d, 5), InvalidEventId);
+    // Later: a moves behind b.
+    const EventId a2 = eq.rearm(a, 25);
+    ASSERT_NE(a2, InvalidEventId);
+    EXPECT_EQ(eq.size(), 4u);
+
+    // The old handles died; the new ones still work.
+    EXPECT_FALSE(eq.cancel(a));
+    EXPECT_EQ(eq.rearm(b, 1), InvalidEventId);
+    EXPECT_EQ(eq.size(), 4u);
+    const EventId a3 = eq.rearm(a2, 26);
+    ASSERT_NE(a3, InvalidEventId);
+    EXPECT_FALSE(eq.cancel(a2));
+
+    eq.runUntil(100);
+    EXPECT_EQ(order, (std::vector<char>{'d', 'c', 'b', 'a'}));
+    EXPECT_EQ(eq.firedCount(), 4u);
+    EXPECT_EQ(eq.now(), 26u);
+    EXPECT_FALSE(eq.cancel(a3));
+}
+
+TEST(EventQueueRearm, FromInsideACallback)
+{
+    EventQueue eq;
+    std::vector<std::string> log;
+    EventId self = InvalidEventId;
+    EventId other = eq.schedule(50, [&] {
+        log.push_back("other@" + std::to_string(eq.now()));
+    });
+    eq.schedule(10, [&] { log.push_back("peer@10"); });
+    self = eq.schedule(10, [&] {
+        log.push_back("self@" + std::to_string(eq.now()));
+        // The firing event is no longer pending.
+        EXPECT_EQ(eq.rearm(self, 12), InvalidEventId);
+        // Pull the other event to now: it fires in this same run,
+        // after the events already queued for this tick.
+        other = eq.rearm(other, eq.now());
+        EXPECT_NE(other, InvalidEventId);
+    });
+    eq.schedule(10, [&] { log.push_back("late@10"); });
+    eq.runUntil(100);
+    EXPECT_EQ(log, (std::vector<std::string>{"peer@10", "self@10",
+                                             "late@10", "other@10"}));
+    EXPECT_EQ(eq.firedCount(), 4u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueRearm, CountsAsOneCancelAndOneSchedule)
+{
+    using rbv::obs::Counter;
+    // The same script twice: re-arming in place, and by cancel +
+    // schedule. Every events counter must agree.
+    std::array<std::uint64_t, 3> got[2];
+    for (int in_place = 0; in_place < 2; ++in_place) {
+        rbv::obs::Session session;
+        if (!rbv::obs::attached())
+            GTEST_SKIP() << "obs compiled out (RBV_OBS=0)";
+        EventQueue eq;
+        std::vector<EventId> ids;
+        for (Tick t = 1; t <= 8; ++t)
+            ids.push_back(eq.schedule(t * 10, [] {}));
+        for (int round = 0; round < 6; ++round) {
+            for (std::size_t k = 0; k < ids.size(); ++k) {
+                const Tick when = eq.now() + 3 + k;
+                if (in_place)
+                    ids[k] = eq.rearm(ids[k], when);
+                else if (eq.cancel(ids[k]))
+                    ids[k] = eq.schedule(when, [] {});
+                else
+                    ids[k] = InvalidEventId;
+            }
+            eq.runOne();
+        }
+        eq.runUntil(1000);
+        const auto m = session.mergedMetrics();
+        const auto count = [&m](Counter c) {
+            return m.counters[static_cast<std::size_t>(c)];
+        };
+        got[in_place] = {count(Counter::SimEventsScheduled),
+                         count(Counter::SimEventsCancelled),
+                         count(Counter::SimEventsFired)};
+    }
+    EXPECT_EQ(got[0], got[1]);
+    EXPECT_GT(got[1][1], 0u);
+    EXPECT_EQ(got[1][0], got[1][1] + got[1][2]);
+}
+
 // ------------------------------------------- differential vs oracle
 
 namespace {
@@ -246,6 +381,18 @@ class RefEventQueue
     }
 
     bool cancel(EventId id) { return pending.erase(id) > 0; }
+
+    /** cancel(id), then schedule(when) of the callback it removed. */
+    EventId
+    rearm(EventId id, Tick when)
+    {
+        auto it = pending.find(id);
+        if (it == pending.end())
+            return InvalidEventId;
+        Callback cb = std::move(it->second);
+        pending.erase(it);
+        return schedule(when, std::move(cb));
+    }
 
     bool empty() const { return pending.empty(); }
     std::size_t size() const { return pending.size(); }
@@ -315,11 +462,12 @@ class RefEventQueue
 /**
  * Runs one queue through a seeded random script and logs every
  * observable: each fire (label, now, size, empty, fired count), each
- * cancel() result, and the queue state after each top-level step.
- * Handles are logged by the order they were handed out, since the
- * two queues encode them differently. Callbacks cancel and re-arm
- * "core" events at the same tick, as Machine::scheduleBoundaries()
- * does on every state change.
+ * cancel() and rearm() result, and the queue state after each
+ * top-level step. Handles are logged by the order they were handed
+ * out, since the two queues encode them differently; a re-armed
+ * event keeps the label of its callback. Callbacks re-arm "core"
+ * events, mostly at the same tick, as Machine::scheduleBoundaries()
+ * does on every state change: in place, or by cancel + schedule.
  */
 template <class Queue>
 class ScriptRun
@@ -331,12 +479,14 @@ class ScriptRun
     run(int steps)
     {
         for (int step = 0; step < steps; ++step) {
-            const auto op = rng.uniformInt(10);
+            const auto op = rng.uniformInt(12);
             if (op < 4)
                 scheduleOne();
             else if (op < 6)
                 cancelAny();
-            else if (op < 9)
+            else if (op < 8)
+                rearmAny();
+            else if (op < 11)
                 q.runUntil(q.now() + rng.uniformInt(40));
             else
                 note("runOne " + std::to_string(q.runOne()));
@@ -384,6 +534,30 @@ class ScriptRun
              std::to_string(q.cancel(id)));
     }
 
+    /** Log a rearm() result; a valid handle joins the pool. */
+    EventId
+    noteRearm(const std::string &what, EventId id)
+    {
+        std::string line =
+            what + " " + std::to_string(id != InvalidEventId);
+        if (id != InvalidEventId) {
+            line += " -> " + std::to_string(handles.size());
+            handles.push_back(id);
+        }
+        note(line);
+        return id;
+    }
+
+    void
+    rearmAny()
+    {
+        const auto pick = rng.uniformInt(handles.size() + 1);
+        const EventId id =
+            pick == handles.size() ? InvalidEventId : handles[pick];
+        noteRearm("rearm " + std::to_string(pick),
+                  q.rearm(id, q.now() + pickDelay()));
+    }
+
     void
     fire(int label)
     {
@@ -396,16 +570,27 @@ class ScriptRun
         --budget;
         const auto action = rng.uniformInt(8);
         if (action < 4) {
-            // Re-arm every core event: cancel it, then schedule it
-            // again, mostly at the very tick it was cancelled at.
+            // Re-arm every core event, mostly at the very tick it was
+            // armed for: in place while it is pending (else by a new
+            // schedule), or by cancel + schedule.
+            const bool in_place = action < 2;
             for (int c = 0; c < Cores; ++c) {
-                if (coreEv[c] != InvalidEventId)
-                    note("cancel-core " + std::to_string(c) + " " +
-                         std::to_string(q.cancel(coreEv[c])));
                 if (rng.uniformInt(4) != 0)
                     coreWhen[c] = std::max(coreWhen[c], q.now());
                 else
                     coreWhen[c] = q.now() + pickDelay();
+                if (in_place) {
+                    const EventId moved =
+                        noteRearm("rearm-core " + std::to_string(c),
+                                  q.rearm(coreEv[c], coreWhen[c]));
+                    if (moved != InvalidEventId) {
+                        coreEv[c] = moved;
+                        continue;
+                    }
+                } else if (coreEv[c] != InvalidEventId) {
+                    note("cancel-core " + std::to_string(c) + " " +
+                         std::to_string(q.cancel(coreEv[c])));
+                }
                 coreEv[c] = scheduleAt(coreWhen[c]);
             }
         } else if (action < 6) {

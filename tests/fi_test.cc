@@ -108,6 +108,50 @@ TEST(FaultPlan, RejectsTyposInsteadOfInjectingNothing)
     EXPECT_FALSE(fi::FaultPlan::parse("irq-drop(p)", plan, err));
 }
 
+TEST(FaultPlan, RejectsValuesThatAreNotFiniteNumbers)
+{
+    fi::FaultPlan plan;
+    std::string err;
+    EXPECT_FALSE(
+        fi::FaultPlan::parse("req-stuck(p=1,mult=inf)", plan, err));
+    EXPECT_NE(err.find("\"mult\" of fault \"req-stuck\""),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("not a finite number"), std::string::npos) << err;
+    for (const char *bad :
+         {"irq-drop(p=nan)", "irq-drop(p=-inf)", "irq-drop(p=abc)",
+          "irq-drop(p=0.2x)", "irq-drop(p=)", "sys-stall(cycles=1e999)",
+          "node-crash(node=1,at-ms=infinity)"}) {
+        EXPECT_FALSE(fi::FaultPlan::parse(bad, plan, err)) << bad;
+        EXPECT_NE(err.find("not a finite number"), std::string::npos)
+            << bad << ": " << err;
+    }
+
+    // All or nothing: one bad value anywhere leaves @p out untouched.
+    ASSERT_TRUE(fi::FaultPlan::parse("ctx-loss(p=0.5)", plan, err));
+    EXPECT_FALSE(fi::FaultPlan::parse(
+        "irq-drop(p=0.1); req-stuck(p=0.1,mult=nan)", plan, err));
+    EXPECT_EQ(plan.summary(), "ctx-loss(p=0.5)");
+
+    // Any finite spelling strtod reads is fine.
+    ASSERT_TRUE(fi::FaultPlan::parse(
+        "link-delay(node=-1,p=1e-3,add-us=0x10)", plan, err))
+        << err;
+    EXPECT_DOUBLE_EQ(plan.specs()[0].param("add-us", 0.0), 16.0);
+    EXPECT_DOUBLE_EQ(plan.specs()[0].param("node", 0.0), -1.0);
+}
+
+TEST(FaultPlanDeath, HandBuiltNonNumberAbortsOnRead)
+{
+    // parse() can never produce one; a spec built by hand can.
+    fi::FaultSpec fs;
+    fs.kind = fi::FaultKind::ReqStuck;
+    fs.params["mult"] = "inf";
+    EXPECT_DOUBLE_EQ(fs.param("p", 0.25), 0.25); // absent: default
+    EXPECT_DEATH(fs.param("mult", 4.0),
+                 "RBV_CHECK failed.*\"mult\" of fault \"req-stuck\"");
+}
+
 TEST(FaultPlan, LayerPredicates)
 {
     fi::FaultPlan sim_only;

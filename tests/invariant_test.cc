@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/check.hh"
 #include "core/model/anomaly.hh"
 #include "core/model/distance.hh"
@@ -228,6 +230,18 @@ TEST(CheckTripDeath, ScheduleIntoThePastAborts)
                  "RBV_CHECK failed.*scheduled into the past");
 }
 
+TEST(CheckTripDeath, RearmIntoThePastAborts)
+{
+    sim::EventQueue eq;
+    eq.schedule(100, [] {});
+    const sim::EventId later = eq.schedule(200, [] {});
+    ASSERT_TRUE(eq.runOne());
+    const sim::EventId at_now = eq.rearm(later, 100); // legal
+    ASSERT_NE(at_now, sim::InvalidEventId);
+    EXPECT_DEATH(eq.rearm(at_now, 50),
+                 "RBV_CHECK failed.*scheduled into the past");
+}
+
 TEST(CheckTripDeath, EventSlotTableFullAborts)
 {
     sim::EventQueue eq(2, sim::EventQueue::MaxGeneration);
@@ -255,6 +269,22 @@ TEST(CheckTripDeath, EventGenerationWrapAborts)
     EXPECT_EQ(eq.size(), 1u);
     ASSERT_TRUE(eq.cancel(g3));
     EXPECT_DEATH(eq.schedule(30, [] {}),
+                 "RBV_CHECK failed.*exhausted its 3 generations");
+}
+
+TEST(CheckTripDeath, EventGenerationWrapThroughRearmAborts)
+{
+    // rearm() spends a generation exactly as cancel + schedule does:
+    // three events on one slot, then the fourth aborts.
+    sim::EventQueue eq(1, 3);
+    const sim::EventId g1 = eq.schedule(10, [] {});
+    const sim::EventId g2 = eq.rearm(g1, 20);
+    const sim::EventId g3 = eq.rearm(g2, 30);
+    ASSERT_NE(g3, sim::InvalidEventId);
+    EXPECT_EQ(eq.rearm(g1, 40), sim::InvalidEventId);
+    EXPECT_EQ(eq.rearm(g2, 40), sim::InvalidEventId);
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_DEATH(eq.rearm(g3, 40),
                  "RBV_CHECK failed.*exhausted its 3 generations");
 }
 
@@ -304,6 +334,22 @@ TEST(CheckTripDeath, InvalidCoreAndCpiAbort)
     wp.baseCpi = 0.0;
     EXPECT_DEATH(m.setWork(0, wp, 100.0),
                  "RBV_CHECK failed.*base CPI");
+}
+
+TEST(CheckTripDeath, UnboundedWorkAborts)
+{
+    // Infinite work would put its completion past the end of time;
+    // the cast to a tick must trip a check, not run undefined.
+    sim::EventQueue eq;
+    sim::MachineConfig mc;
+    sim::Machine m(mc, eq);
+    sim::WorkParams wp;
+    m.setWork(0, wp, 1e6); // legal
+    EXPECT_DEATH(
+        m.setWork(1, wp, std::numeric_limits<double>::infinity()),
+        "RBV_CHECK failed.*cycles ahead is not a tick");
+    EXPECT_DEATH(m.setWork(1, wp, 1e30),
+                 "RBV_CHECK failed.*cycles ahead is not a tick");
 }
 
 TEST(CheckTripDeath, WaterFillArityMismatchAborts)

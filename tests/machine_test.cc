@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "sim/machine.hh"
+#include "stats/rng.hh"
 
 using namespace rbv::sim;
 
@@ -337,4 +343,213 @@ TEST(Machine, CountersProgrammableSelectors)
     EXPECT_NEAR(static_cast<double>(pc.general(0)), 10000.0 * 0.18,
                 5.0);
     EXPECT_EQ(pc.fixedInstructions(), 10000u);
+}
+
+// ------------------------------------------------- rate-solve memo
+
+namespace {
+
+/** One core's input to the rate solve, as a script tracks it. */
+struct RefCore
+{
+    bool busy = false;
+    double occupancy = 0.0;
+    double seedCpi = 1.0;
+    WorkParams params;
+};
+
+/** Outputs of the rate solve that the machine exposes. */
+struct RefRates
+{
+    std::vector<double> missRatio, effCpi;
+    double memLatency = 0.0;
+};
+
+/**
+ * Reference copy of Machine::recomputeRates() passes 2-3 (miss
+ * ratios and the CPI / memory-latency fixed point), written out
+ * again here as the oracle for the memoized solve: the machine must
+ * read exactly what a full solve on its current input would give.
+ */
+RefRates
+refSolve(const MachineConfig &mc, const std::vector<RefCore> &cores)
+{
+    constexpr int Iterations = 6;
+    const MemoryModel memory(mc.memory);
+    const std::size_t n = cores.size();
+    RefRates out;
+    out.missRatio.assign(n, 0.0);
+    out.effCpi.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const RefCore &c = cores[i];
+        if (c.busy)
+            out.missRatio[i] = c.params.curve.missRatioAt(c.occupancy);
+        out.effCpi[i] = c.busy && c.seedCpi <= 0.0 ? c.params.baseCpi
+                                                   : c.seedCpi;
+    }
+    for (int it = 0; it < Iterations; ++it) {
+        double miss_bw = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!cores[i].busy)
+                continue;
+            const double refs_per_cycle = cores[i].params.refsPerIns /
+                                          std::max(out.effCpi[i], 1e-9);
+            miss_bw += refs_per_cycle * out.missRatio[i] * CacheLineBytes;
+        }
+        out.memLatency = memory.latencyAt(miss_bw);
+        for (std::size_t i = 0; i < n; ++i) {
+            const RefCore &c = cores[i];
+            if (!c.busy)
+                continue;
+            const double m = out.missRatio[i];
+            out.effCpi[i] =
+                c.params.baseCpi +
+                c.params.refsPerIns * ((1.0 - m) * mc.l2HitLatencyCycles +
+                                       m * out.memLatency);
+        }
+    }
+    return out;
+}
+
+/**
+ * Work descriptions for the script. setWork() re-seeds the CPI to the
+ * base CPI, so only work without L2 references, whose solve is its
+ * base CPI exactly, leaves a key that the next setWork() can match.
+ * The first entry is such work and the next five each differ from it
+ * in one field, so a memo key that drops any of those fields meets
+ * two inputs it cannot tell apart; the last two are cache-hungry
+ * co-runners.
+ */
+std::vector<WorkParams>
+paramPalette()
+{
+    const WorkParams base = memParams(2.0, 0.0, 0.08);
+    std::vector<WorkParams> out(6, base);
+    out[1].baseCpi = 1.3;
+    out[2].refsPerIns = 0.03;
+    out[3].curve.workingSetBytes = 5.0 * MiB;
+    out[4].curve.baseMissRatio = 0.2;
+    out[5].curve.exponent = 1.7;
+    out.push_back(memParams(2.0, 0.03, 0.08));
+    out.push_back(memParams(3.0, 0.05, 0.1));
+    return out;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/**
+ * Drives a machine through a seeded script of state changes, mostly
+ * at one tick and sometimes advancing, and after every change checks
+ * each core's CPI, miss ratio, misses per instruction and the memory
+ * latency, bit for bit, against refSolve() on the input the script
+ * tracks.
+ * @return The number of checked state changes.
+ */
+int
+runRateScript(std::uint64_t seed, int steps)
+{
+    Rig rig(4, seed % 2 == 0 ? usToCycles(50.0) : 0);
+    Machine &m = rig.machine;
+    const MachineConfig &mc = m.config();
+    const auto palette = paramPalette();
+    constexpr double Occupancies[] = {0.0, 0.5 * MiB, 1.0 * MiB,
+                                      2.0 * MiB, 3.0 * MiB};
+    constexpr double Instructions[] = {2e3, 2e5, 2e7};
+    rbv::stats::Rng rng(seed);
+    std::vector<WorkParams> params(mc.numCores);
+    int checked = 0;
+
+    for (int step = 0; step < steps; ++step) {
+        const auto core = static_cast<CoreId>(rng.uniformInt(4));
+        // The seed of the fixed point is the CPI left by the last
+        // solve, unless setWork() re-seeds it.
+        std::vector<RefCore> in(mc.numCores);
+        for (CoreId c = 0; c < mc.numCores; ++c)
+            in[c].seedCpi = m.currentCpi(c);
+        const RefRates before{
+            {m.currentMissRatio(0), m.currentMissRatio(1),
+             m.currentMissRatio(2), m.currentMissRatio(3)},
+            {m.currentCpi(0), m.currentCpi(1), m.currentCpi(2),
+             m.currentCpi(3)},
+            m.currentMemLatency()};
+        bool solves = true;
+        const auto op = rng.uniformInt(12);
+        if (op < 3) {
+            if (m.busy(core) && rng.uniformInt(4) == 0) {
+                // The same work re-seated at the CPI it runs at now:
+                // its seed matches the key, its base CPI does not.
+                params[core].baseCpi = m.currentCpi(core);
+            } else {
+                params[core] = palette[rng.uniformInt(palette.size())];
+            }
+            m.setWork(core, params[core],
+                      Instructions[rng.uniformInt(3)]);
+            in[core].seedCpi = params[core].baseCpi;
+        } else if (op < 4) {
+            m.clearWork(core);
+        } else if (op < 7) {
+            m.setOccupancy(core, Occupancies[rng.uniformInt(5)]);
+        } else if (op < 9) {
+            const double cycles = rng.uniformInt(2) == 0 ? 0.0 : 3000.0;
+            m.pushFixedWork(core, FixedWork{cycles, 100.0, 4.0, 1.0});
+        } else if (op < 10) {
+            m.armCycleTimer(core, 1000.0 * (1 + rng.uniformInt(50)),
+                            [] {});
+            solves = false; // re-arms events only
+        } else {
+            // Let time pass: events fire and solve on their own, so
+            // there is nothing to check until the next change.
+            static constexpr Tick Spans[] = {1, 500, 20000, 400000};
+            rig.eq.runUntil(rig.eq.now() + Spans[rng.uniformInt(4)]);
+            continue;
+        }
+
+        for (CoreId c = 0; c < mc.numCores; ++c) {
+            in[c].busy = m.busy(c);
+            in[c].occupancy = m.occupancy(c); // same tick: no resync
+            in[c].params = params[c];
+        }
+        const RefRates want = solves ? refSolve(mc, in) : before;
+        for (CoreId c = 0; c < mc.numCores; ++c) {
+            // An idle core's CPI is whatever it last ran at.
+            const double cpi = in[c].busy ? want.effCpi[c]
+                                          : in[c].seedCpi;
+            const double mpi =
+                in[c].busy ? params[c].refsPerIns * want.missRatio[c]
+                           : 0.0;
+            if (!solves) {
+                EXPECT_EQ(bits(m.currentCpi(c)), bits(want.effCpi[c]));
+            } else {
+                EXPECT_EQ(bits(m.currentCpi(c)), bits(cpi))
+                    << "seed " << seed << " step " << step << " core "
+                    << c << ": " << m.currentCpi(c) << " vs " << cpi;
+                EXPECT_EQ(bits(m.currentMissesPerIns(c)), bits(mpi))
+                    << "seed " << seed << " step " << step;
+            }
+            EXPECT_EQ(bits(m.currentMissRatio(c)),
+                      bits(want.missRatio[c]))
+                << "seed " << seed << " step " << step << " core " << c;
+        }
+        EXPECT_EQ(bits(m.currentMemLatency()), bits(want.memLatency))
+            << "seed " << seed << " step " << step;
+        if (::testing::Test::HasFailure())
+            return checked;
+        ++checked;
+    }
+    return checked;
+}
+
+} // namespace
+
+TEST(MachineRateMemo, EveryReadoutMatchesAFullSolve)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        const int checked = runRateScript(seed, 600);
+        ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+        EXPECT_GT(checked, 400) << "seed " << seed;
+    }
 }

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <vector>
 
 #include "stats/online.hh"
 #include "stats/rng.hh"
@@ -277,6 +280,71 @@ TEST(Quantile, BatchMatchesSingle)
 }
 
 // ------------------------------------------------------------ Histogram
+
+// ------------------------------------------------------ SlidingQuantile
+
+namespace {
+
+/** The window's q-quantile by selection: the oracle for the sorted copy. */
+double
+selectQuantile(std::vector<double> window, double q)
+{
+    if (window.empty())
+        return 0.0;
+    const auto idx = static_cast<std::size_t>(
+        q * static_cast<double>(window.size() - 1));
+    std::nth_element(window.begin(),
+                     window.begin() + static_cast<std::ptrdiff_t>(idx),
+                     window.end());
+    return window[idx];
+}
+
+} // namespace
+
+TEST(SlidingQuantile, MatchesSelectionOracleBeforeAndAfterWrap)
+{
+    constexpr double Qs[] = {0.0, 0.5, 0.99, 1.0};
+    for (const std::size_t cap : {1u, 4u, 128u, 1024u}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            Rng rng(seed * 977 + cap);
+            SlidingQuantile sq(cap);
+            std::deque<double> window;
+            // Three windows' worth: fill, wrap, and wrap again.
+            const std::size_t n = 3 * cap + 7;
+            for (std::size_t i = 0; i < n; ++i) {
+                // Few distinct values, so duplicates are common,
+                // with an occasional wide draw for the tails.
+                const double x =
+                    rng.uniformInt(8) == 0
+                        ? rng.normal(0.0, 1e3)
+                        : static_cast<double>(rng.uniformInt(16));
+                sq.add(x);
+                window.push_back(x);
+                if (window.size() > cap)
+                    window.pop_front();
+                ASSERT_EQ(sq.size(), window.size());
+                ASSERT_EQ(sq.count(), i + 1);
+                const std::vector<double> w(window.begin(),
+                                            window.end());
+                for (const double q : Qs)
+                    ASSERT_EQ(sq.quantile(q), selectQuantile(w, q))
+                        << "cap " << cap << " seed " << seed
+                        << " after " << i + 1 << " adds, q=" << q;
+            }
+        }
+    }
+}
+
+TEST(SlidingQuantile, EmptyAndOutOfRangeQ)
+{
+    SlidingQuantile sq(8);
+    EXPECT_EQ(sq.quantile(0.5), 0.0);
+    for (const double v : {5.0, -1.0, 3.0})
+        sq.add(v);
+    EXPECT_EQ(sq.quantile(-2.0), -1.0);
+    EXPECT_EQ(sq.quantile(7.0), 5.0);
+    EXPECT_EQ(SlidingQuantile(0).capacity(), 1u);
+}
 
 TEST(Histogram, BinningAndProbability)
 {
