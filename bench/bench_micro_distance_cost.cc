@@ -29,6 +29,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -314,27 +315,53 @@ emitTrajectory(const std::string &path)
 
     // Dispatch equivalence: every kernel behind dtwDistance and
     // dtwDistanceEarlyAbandon must agree bitwise on the same inputs
-    // (the AVX2 path must not silently diverge on hosts that have it).
-    {
-        DistanceScratch &scr = threadDistanceScratch();
-        const bool avx2 = core::detail::dtwAvx2Available();
-        for (const auto &[cutoff, want] :
-             {std::pair{Inf, dtw_ref}, std::pair{ea_cutoff, Inf},
-              std::pair{ea_finish_cutoff, dtw_ref}}) {
-            const double d_scalar = core::detail::dtwDiagScalar(
-                x.data(), x.size(), y.data(), y.size(), 1.0, scr,
-                cutoff);
-            if (d_scalar != want ||
-                (avx2 && core::detail::dtwDiagAvx2(
-                             x.data(), x.size(), y.data(), y.size(),
-                             1.0, scr, cutoff) != want)) {
-                std::cerr << "FATAL: diag kernel dispatch diverges "
-                             "at cutoff "
-                          << cutoff << "\n";
-                return 1;
-            }
+    // (the AVX2 and AVX-512 paths must not silently diverge on hosts
+    // that have them).
+    DistanceScratch &scr = threadDistanceScratch();
+    const bool avx2 = core::detail::dtwAvx2Available();
+    const bool avx512 = core::detail::dtwAvx512Available();
+    const auto diag = [&](auto kernel, double cutoff) {
+        return kernel(x.data(), x.size(), y.data(), y.size(), 1.0, scr,
+                      cutoff);
+    };
+    for (const auto &[cutoff, want] :
+         {std::pair{Inf, dtw_ref}, std::pair{ea_cutoff, Inf},
+          std::pair{ea_finish_cutoff, dtw_ref}}) {
+        if (diag(core::detail::dtwDiagScalar, cutoff) != want ||
+            (avx2 && diag(core::detail::dtwDiagAvx2, cutoff) != want) ||
+            (avx512 && diag(core::detail::dtwDiagAvx512, cutoff) != want)) {
+            std::cerr << "FATAL: diag kernel dispatch diverges at cutoff "
+                      << cutoff << "\n";
+            return 1;
         }
     }
+
+    // Bound pruning's work figure: DP cells the kernels computed, as
+    // a fraction of the m * n an unpruned DP computes, on the kernel
+    // inputs and over every pair of 24 class-structured series of
+    // length 384-511 (pruning starts at 2^16 cells).
+    std::uint64_t before = scr.dtwCells;
+    benchmark::DoNotOptimize(dtwDistance(x, y, 1.0));
+    const std::uint64_t kernel_cells = scr.dtwCells - before;
+    const double kernel_kept_frac =
+        static_cast<double>(kernel_cells) /
+        static_cast<double>(x.size() * y.size());
+    std::vector<MetricSeries> long_series;
+    for (std::size_t i = 0; i < 24; ++i)
+        long_series.push_back(classSeries(384 + (i * 37) % 128, i % 4,
+                                          i + 101));
+    before = scr.dtwCells;
+    std::uint64_t class_all_cells = 0;
+    for (std::size_t i = 0; i < long_series.size(); ++i)
+        for (std::size_t j = i + 1; j < long_series.size(); ++j) {
+            benchmark::DoNotOptimize(
+                dtwDistance(long_series[i], long_series[j], 1.0));
+            class_all_cells +=
+                long_series[i].size() * long_series[j].size();
+        }
+    const std::uint64_t class_cells = scr.dtwCells - before;
+    const double class_kept_frac = static_cast<double>(class_cells) /
+                                   static_cast<double>(class_all_cells);
 
     const double dtw_ref_ns =
         nsPerOp([&] { benchmark::DoNotOptimize(
@@ -349,6 +376,23 @@ emitTrajectory(const std::string &path)
         benchmark::DoNotOptimize(
             dtwDistanceEarlyAbandon(x, y, 1.0, ea_finish_cutoff));
     });
+    // The pruned DP per instruction set, for the ISAs the host has:
+    // dtw_avx2 is the kernel schema 3's dtw row timed unpruned.
+    std::string isa_rows, isa_echo;
+    for (const auto &[row, present, kernel] :
+         {std::tuple{"dtw_avx2", avx2, &core::detail::dtwDiagAvx2},
+          std::tuple{"dtw_avx512", avx512,
+                     &core::detail::dtwDiagAvx512}}) {
+        if (!present)
+            continue;
+        const double ns = nsPerOp(
+            [&] { benchmark::DoNotOptimize(diag(kernel, Inf)); });
+        char line[96];
+        std::snprintf(line, sizeof line, "    \"%s\": %.1f,\n", row, ns);
+        isa_rows += line;
+        std::snprintf(line, sizeof line, "  %-17s %10.1f\n", row, ns);
+        isa_echo += line;
+    }
     const double lev_ref_ns = nsPerOp([&] {
         benchmark::DoNotOptimize(
             ref::levenshteinDistance(sx, sy, 512));
@@ -475,7 +519,7 @@ emitTrajectory(const std::string &path)
         buf, sizeof(buf),
         "{\n"
         "  \"bench\": \"distance\",\n"
-        "  \"schema\": 3,\n"
+        "  \"schema\": 4,\n"
         "  \"host_cpus\": %u,\n"
         "  \"kernel_id\": \"%s\",\n"
         "  \"series_len\": %zu,\n"
@@ -484,8 +528,15 @@ emitTrajectory(const std::string &path)
         "    \"dtw\": %.1f,\n"
         "    \"dtw_early_abandon\": %.1f,\n"
         "    \"dtw_early_abandon_finish\": %.1f,\n"
+        "%s"
         "    \"levenshtein_ref\": %.1f,\n"
         "    \"levenshtein\": %.1f\n"
+        "  },\n"
+        "  \"pruning\": {\n"
+        "    \"kernel_cells\": %llu,\n"
+        "    \"kernel_kept_frac\": %.3f,\n"
+        "    \"class_cells\": %llu,\n"
+        "    \"class_kept_frac\": %.3f\n"
         "  },\n"
         "  \"matrix_build\": {\n"
         "    \"n\": %zu,\n"
@@ -522,8 +573,10 @@ emitTrajectory(const std::string &path)
         "}\n",
         std::thread::hardware_concurrency(),
         core::detail::dtwKernelId(), KernelLen, dtw_ref_ns, dtw_ns,
-        dtw_ea_ns, dtw_ea_finish_ns,
+        dtw_ea_ns, dtw_ea_finish_ns, isa_rows.c_str(),
         lev_ref_ns, lev_ns,
+        static_cast<unsigned long long>(kernel_cells), kernel_kept_frac,
+        static_cast<unsigned long long>(class_cells), class_kept_frac,
         MatrixN, ref_ms, serial_ms, par4_ms, cascade_ms, speedup,
         speedup_casc,
         static_cast<unsigned long long>(cs.lookups),
@@ -551,6 +604,10 @@ emitTrajectory(const std::string &path)
                 dtw_ns, dtw_ref_ns, dtw_ref_ns / dtw_ns);
     std::printf("  dtw early-abandon %10.1f  (finishing %10.1f)\n",
                 dtw_ea_ns, dtw_ea_finish_ns);
+    std::printf("%s", isa_echo.c_str());
+    std::printf("pruned cells kept: %.3f at len %zu, %.3f over "
+                "class-structured pairs\n",
+                kernel_kept_frac, KernelLen, class_kept_frac);
     std::printf("  levenshtein       %10.1f  (ref %10.1f, %.2fx)\n",
                 lev_ns, lev_ref_ns, lev_ref_ns / lev_ns);
     std::printf("matrix n=%zu: ref %.2f ms, serial %.2f ms, 4 jobs "

@@ -86,6 +86,7 @@ dtwRolling(const double *x, std::size_t m, const double *y,
         if constexpr (Abandon)
             row_min = std::min(row_min, prev[j]);
     }
+    scratch.dtwCells += n;
     if (Abandon && row_min >= cutoff)
         return Inf;
 
@@ -100,6 +101,7 @@ dtwRolling(const double *x, std::size_t m, const double *y,
             if constexpr (Abandon)
                 row_min = std::min(row_min, cur[j]);
         }
+        scratch.dtwCells += n;
         if (Abandon && row_min >= cutoff)
             return Inf;
         std::swap(prev, cur);
@@ -115,7 +117,7 @@ dtwRolling(const double *x, std::size_t m, const double *y,
 constexpr std::size_t DiagKernelMinLen = 16;
 
 /**
- * DTW with runtime kernel dispatch. All three kernels compute the
+ * DTW with runtime kernel dispatch. All four kernels compute the
  * identical operand set per cell (see dtw_simd.hh), so which one runs
  * is invisible in the result bits — only in the wall clock. A finite
  * @p cutoff abandons with +inf exactly when the last DP row's minimum
@@ -129,6 +131,9 @@ dtwFull(const double *x, std::size_t m, const double *y, std::size_t n,
 {
     if (std::min(m, n) >= DiagKernelMinLen &&
         (cutoff == Inf || async_penalty >= 0.0)) {
+        if (detail::dtwAvx512Available())
+            return detail::dtwDiagAvx512(x, m, y, n, async_penalty,
+                                         scratch, cutoff);
         if (detail::dtwAvx2Available())
             return detail::dtwDiagAvx2(x, m, y, n, async_penalty,
                                        scratch, cutoff);

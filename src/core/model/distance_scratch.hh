@@ -66,6 +66,13 @@ struct DistanceScratch
     std::vector<double> sigPrefix;
 
     /**
+     * DTW DP cells computed on this thread, by every DTW kernel. A
+     * deterministic work figure for tests and benches (the wavefront
+     * kernels skip bound-pruned cells); nothing in the model reads it.
+     */
+    std::uint64_t dtwCells = 0;
+
+    /**
      * The two DTW rows as raw pointers: element [0] and [rowLen] of
      * one grown flat buffer, so both rows come from one allocation
      * and stay hot in cache together.

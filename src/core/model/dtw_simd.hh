@@ -21,8 +21,16 @@
  * min over nonnegative finite doubles is order-exact — the cell DAG
  * fixes every intermediate bit regardless of evaluation order.
  * Results are therefore bit-identical to rbv::core::ref::dtwDistance
- * on every path (AVX2, portable), which the golden and property
- * suites assert on randomized inputs.
+ * on every path (AVX-512, AVX2, portable), which the golden and
+ * property suites assert on randomized inputs.
+ *
+ * Every path also skips, on DPs of 2^16 cells or more, the cells no
+ * optimal warp path can reach: cells above the cost of a concrete
+ * warp path (an upper bound on the result) are trimmed off each
+ * diagonal's ends and their successors are never computed. Every
+ * cell at or below that bound is still computed exactly, so the
+ * pruning shows in no result bit and in no abandon decision
+ * (docs/PERFORMANCE.md, "Bound-pruned wavefront").
  *
  * Dispatch is decided per call from the CPU feature set (GCC's
  * cpu_supports builtin reads a libgcc-initialized model block; no
@@ -69,10 +77,24 @@ double dtwDiagAvx2(const double *x, std::size_t m, const double *y,
                    DistanceScratch &scratch,
                    double cutoff = std::numeric_limits<double>::infinity());
 
+/**
+ * AVX-512F anti-diagonal DTW (8 cells per vector op). Same contract
+ * and bit-identical results; callers must check dtwAvx512Available()
+ * first. On non-x86 builds this symbol exists but must not be called.
+ */
+double dtwDiagAvx512(const double *x, std::size_t m, const double *y,
+                     std::size_t n, double async_penalty,
+                     DistanceScratch &scratch,
+                     double cutoff =
+                         std::numeric_limits<double>::infinity());
+
 /** True when the host CPU can run the AVX2 kernel. */
 bool dtwAvx2Available();
 
-/** Dispatch target name for reports: "avx2" or "scalar". */
+/** True when the host CPU can run the AVX-512F kernel. */
+bool dtwAvx512Available();
+
+/** Dispatch target name for reports: "avx512", "avx2" or "scalar". */
 const char *dtwKernelId();
 
 } // namespace detail

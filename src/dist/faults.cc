@@ -45,24 +45,23 @@ ClusterFaultSession::ClusterFaultSession(const fi::FaultPlan &plan,
                                          std::uint64_t seed)
     : seed(seed)
 {
+    // FaultSpec::param only returns values inside each parameter's
+    // declared range (fi/plan.cc): ids are whole ints, times are
+    // nonnegative and bounded, so the casts below are all defined.
     for (const auto &fs : plan.specs()) {
         switch (fs.kind) {
           case fi::FaultKind::NodeCrash: {
             CrashWindow w;
             w.node = static_cast<NodeId>(fs.param("node", 0.0));
-            w.at = static_cast<sim::Tick>(
-                sim::msToCycles(fs.param("at-ms", 0.0)));
+            w.at = sim::msToCycles(fs.param("at-ms", 0.0));
             crashes.push_back(w);
             break;
           }
           case fi::FaultKind::NodeDegrade: {
             DegradeWindow w;
             w.node = static_cast<NodeId>(fs.param("node", 0.0));
-            w.from = static_cast<sim::Tick>(
-                sim::msToCycles(fs.param("from-ms", 0.0)));
-            w.until =
-                w.from + static_cast<sim::Tick>(sim::msToCycles(
-                             fs.param("for-ms", 10.0)));
+            w.from = sim::msToCycles(fs.param("from-ms", 0.0));
+            w.until = w.from + sim::msToCycles(fs.param("for-ms", 10.0));
             w.mult = fs.param("mult", 4.0);
             degrades.push_back(w);
             break;
@@ -86,11 +85,8 @@ ClusterFaultSession::ClusterFaultSession(const fi::FaultPlan &plan,
             PartitionWindow w;
             w.a = static_cast<NodeId>(fs.param("a", 0.0));
             w.b = static_cast<NodeId>(fs.param("b", 1.0));
-            w.from = static_cast<sim::Tick>(
-                sim::msToCycles(fs.param("from-ms", 0.0)));
-            w.until =
-                w.from + static_cast<sim::Tick>(sim::msToCycles(
-                             fs.param("for-ms", 10.0)));
+            w.from = sim::msToCycles(fs.param("from-ms", 0.0));
+            w.until = w.from + sim::msToCycles(fs.param("for-ms", 10.0));
             partitions.push_back(w);
             break;
           }

@@ -3,48 +3,94 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "core/check.hh"
+#include "sim/counters.hh"
+#include "sim/types.hh"
 #include "stats/rng.hh"
 
 namespace rbv::fi {
 
 namespace {
 
+/**
+ * Largest time parameter (ms): far past any run, and small enough
+ * that from-ms + for-ms, in cycles, stays well inside a 64-bit Tick.
+ */
+constexpr double MaxMs = 1e9;
+
+/** Largest node or core id: ids are ints. */
+constexpr double MaxId = std::numeric_limits<int>::max();
+
+/** Largest slowdown multiplier. */
+constexpr double MaxMult = 1000.0;
+
+/** One parameter key and the closed range its value must lie in. */
+struct ParamRange
+{
+    const char *key = nullptr;
+    double lo = 0.0;
+    double hi = 0.0;
+    /// Ids must also be whole numbers.
+    bool whole = false;
+};
+
+constexpr ParamRange prob(const char *key) { return {key, 0.0, 1.0}; }
+constexpr ParamRange timeMs(const char *key) { return {key, 0.0, MaxMs}; }
+constexpr ParamRange mult(const char *key) { return {key, 1.0, MaxMult}; }
+constexpr ParamRange id(const char *key) { return {key, 0.0, MaxId, true}; }
+
+/// A node id where -1 means "every node".
+constexpr ParamRange
+anyNode(const char *key)
+{
+    return {key, -1.0, MaxId, true};
+}
+
 struct KindEntry
 {
     FaultKind kind;
     const char *name;
-    /// Parameter keys this fault accepts (null-terminated list).
-    std::array<const char *, 5> keys;
+    /// Parameters this fault accepts; unused slots have a null key.
+    std::array<ParamRange, 4> params;
 };
 
 constexpr std::array<KindEntry, 15> kKinds = {{
-    {FaultKind::IrqDrop, "irq-drop", {"p", nullptr}},
-    {FaultKind::IrqCoalesce, "irq-coalesce", {"p", nullptr}},
-    {FaultKind::CtrSaturate, "ctr-saturate", {"cap", nullptr}},
-    {FaultKind::CtrCorrupt, "ctr-corrupt", {"p", nullptr}},
+    {FaultKind::IrqDrop, "irq-drop", {prob("p")}},
+    {FaultKind::IrqCoalesce, "irq-coalesce", {prob("p")}},
+    {FaultKind::CtrSaturate,
+     "ctr-saturate",
+     {ParamRange{"cap", 0.0,
+                 static_cast<double>(sim::CounterRegisterMax)}}},
+    {FaultKind::CtrCorrupt, "ctr-corrupt", {prob("p")}},
     {FaultKind::CoreSlow,
      "core-slow",
-     {"core", "from-ms", "for-ms", "frac", nullptr}},
-    {FaultKind::ReqStuck, "req-stuck", {"p", "mult", nullptr}},
-    {FaultKind::SysStall, "sys-stall", {"p", "cycles", nullptr}},
-    {FaultKind::CtxLoss, "ctx-loss", {"p", nullptr}},
-    {FaultKind::JobCrash, "job-crash", {"p", nullptr}},
-    {FaultKind::JobTimeout, "job-timeout", {"p", nullptr}},
-    {FaultKind::NodeCrash, "node-crash", {"node", "at-ms", nullptr}},
+     {id("core"), timeMs("from-ms"), timeMs("for-ms"),
+      ParamRange{"frac", 0.0, 0.95}}},
+    {FaultKind::ReqStuck, "req-stuck", {prob("p"), mult("mult")}},
+    {FaultKind::SysStall,
+     "sys-stall",
+     {prob("p"), ParamRange{"cycles", 0.0,
+                            static_cast<double>(sim::msToCycles(MaxMs))}}},
+    {FaultKind::CtxLoss, "ctx-loss", {prob("p")}},
+    {FaultKind::JobCrash, "job-crash", {prob("p")}},
+    {FaultKind::JobTimeout, "job-timeout", {prob("p")}},
+    {FaultKind::NodeCrash, "node-crash", {id("node"), timeMs("at-ms")}},
     {FaultKind::NodeDegrade,
      "node-degrade",
-     {"node", "from-ms", "for-ms", "mult", nullptr}},
-    {FaultKind::LinkDrop, "link-drop", {"node", "p", nullptr}},
+     {id("node"), timeMs("from-ms"), timeMs("for-ms"), mult("mult")}},
+    {FaultKind::LinkDrop, "link-drop", {anyNode("node"), prob("p")}},
     {FaultKind::LinkDelay,
      "link-delay",
-     {"node", "p", "add-us", nullptr}},
+     {anyNode("node"), prob("p"),
+      ParamRange{"add-us", 0.0, MaxMs * 1000.0}}},
     {FaultKind::LinkPartition,
      "link-partition",
-     {"a", "b", "from-ms", "for-ms", nullptr}},
+     {id("a"), id("b"), timeMs("from-ms"), timeMs("for-ms")}},
 }};
 
 bool clusterKind(FaultKind kind)
@@ -77,15 +123,12 @@ const KindEntry *entryFor(const std::string &name)
     return nullptr;
 }
 
-bool acceptsKey(const KindEntry &entry, const std::string &key)
+const ParamRange *rangeFor(const KindEntry &entry, const std::string &key)
 {
-    for (const char *k : entry.keys) {
-        if (k == nullptr)
-            break;
-        if (key == k)
-            return true;
-    }
-    return false;
+    for (const auto &range : entry.params)
+        if (range.key != nullptr && key == range.key)
+            return &range;
+    return nullptr;
 }
 
 /// Trim ASCII whitespace from both ends.
@@ -104,6 +147,43 @@ bool parseFinite(const std::string &text, double &out)
     char *end = nullptr;
     out = std::strtod(text.c_str(), &end);
     return end != text.c_str() && *end == '\0' && std::isfinite(out);
+}
+
+/**
+ * Parameter @p key of fault @p entry as a number inside its declared
+ * range, or false with @p error naming the fault, the key and the
+ * range. Every integer cast and tick conversion downstream relies on
+ * this check.
+ */
+bool checkedValue(const KindEntry &entry, const std::string &key,
+                  const std::string &text, double &out,
+                  std::string &error)
+{
+    const auto where = [&] {
+        return "parameter \"" + key + "\" of fault \"" + entry.name +
+               "\"";
+    };
+    const ParamRange *range = rangeFor(entry, key);
+    if (range == nullptr) {
+        error = "fault \"" + std::string(entry.name) +
+                "\" has no parameter \"" + key + "\"";
+        return false;
+    }
+    if (!parseFinite(text, out)) {
+        error = where() + " is not a finite number: \"" + text + "\"";
+        return false;
+    }
+    if (out < range->lo || out > range->hi ||
+        (range->whole && out != std::floor(out))) {
+        char bounds[64];
+        std::snprintf(bounds, sizeof bounds, "[%.15g, %.15g]", range->lo,
+                      range->hi);
+        error = where() + " must be " +
+                (range->whole ? "a whole number" : "a number") + " in " +
+                bounds + ": \"" + text + "\"";
+        return false;
+    }
+    return true;
 }
 
 bool parseOneFault(const std::string &text, FaultSpec &out,
@@ -145,19 +225,9 @@ bool parseOneFault(const std::string &text, FaultSpec &out,
         }
         std::string key = trim(item.substr(0, eq));
         std::string value = trim(item.substr(eq + 1));
-        if (!acceptsKey(*entry, key)) {
-            error = "fault \"" + name + "\" has no parameter \"" + key +
-                    "\"";
-            return false;
-        }
-        // Every parameter is numeric, and an infinite or NaN one
-        // reaches casts to integer ticks downstream.
         double number = 0.0;
-        if (!parseFinite(value, number)) {
-            error = "parameter \"" + key + "\" of fault \"" + name +
-                    "\" is not a finite number: \"" + value + "\"";
+        if (!checkedValue(*entry, key, value, number, error))
             return false;
-        }
         out.params[key] = value;
     }
     return true;
@@ -177,11 +247,9 @@ double FaultSpec::param(const std::string &key, double def) const
     if (it == params.end())
         return def;
     double v = 0.0;
-    RBV_CHECK(parseFinite(it->second, v),
-              "parameter \"" << key << "\" of fault \""
-                             << faultName(kind)
-                             << "\" is not a finite number: \""
-                             << it->second << "\"");
+    std::string error;
+    RBV_CHECK(checkedValue(*entryFor(kind), key, it->second, v, error),
+              error);
     return v;
 }
 

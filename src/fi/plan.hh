@@ -11,9 +11,11 @@
  *     <param>    ::= <key> '=' <value>
  *
  * e.g. `--faults="irq-drop(p=0.2);req-stuck(p=0.05,mult=4)"`.
- * Unknown fault names and parameters, and values that are not finite
- * numbers, are parse errors — a typo in a fault plan must never
- * silently inject nothing (or inject something unbounded).
+ * Unknown fault names and parameters, values that are not finite
+ * numbers, and values outside the parameter's declared range (ids
+ * are whole numbers, times nonnegative, probabilities in [0, 1]; see
+ * the table in plan.cc) are parse errors — a typo in a fault plan
+ * must never silently inject nothing (or inject something unbounded).
  *
  * Plans carry no randomness: the same plan combined with the same
  * scenario seed produces the identical injection sequence regardless
@@ -75,8 +77,9 @@ struct FaultSpec
 
     /**
      * Numeric parameter, or @p def if absent. A value that is not a
-     * finite number aborts: parse() rejects one, so it can only come
-     * from a spec built by hand.
+     * finite number inside the parameter's declared range aborts:
+     * parse() rejects one, so it can only come from a spec built by
+     * hand.
      */
     double param(const std::string &key, double def) const;
 };
@@ -89,9 +92,11 @@ class FaultPlan
 {
   public:
     /**
-     * Parse a CLI spec string. Returns false and sets @p error on an
-     * unknown fault name, an unknown parameter, a value that is not a
-     * finite number, or a grammar error; parsing is all-or-nothing.
+     * Parse a CLI spec string. Returns false and sets @p error (which
+     * names the fault and the key) on an unknown fault name, an
+     * unknown parameter, a value that is not a finite number or lies
+     * outside the parameter's range, or a grammar error; parsing is
+     * all-or-nothing.
      */
     static bool parse(const std::string &spec, FaultPlan &out,
                       std::string &error);

@@ -54,15 +54,16 @@ void FaultSession::start()
         return;
 
     auto &machine = kernel->machine();
+    // param() returns only values inside the declared ranges
+    // (fi/plan.cc), so these casts are defined.
     auto core = static_cast<sim::CoreId>(coreSlow->param("core", 0.0));
-    if (core < 0 || core >= machine.numCores())
+    if (core >= machine.numCores())
         core = 0;
-    const auto fromTick =
-        static_cast<sim::Tick>(sim::msToCycles(coreSlow->param("from-ms", 1.0)));
-    const auto durTicks =
-        static_cast<sim::Tick>(sim::msToCycles(coreSlow->param("for-ms", 50.0)));
-    const double frac =
-        std::clamp(coreSlow->param("frac", 0.5), 0.0, 0.95);
+    const sim::Tick fromTick =
+        sim::msToCycles(coreSlow->param("from-ms", 1.0));
+    const sim::Tick durTicks =
+        sim::msToCycles(coreSlow->param("for-ms", 50.0));
+    const double frac = coreSlow->param("frac", 0.5);
     if (durTicks == 0 || frac <= 0.0)
         return;
 
@@ -177,7 +178,7 @@ double FaultSession::execMultiplier(os::RequestId request)
         unitIntervalHash(seed, 0x51, static_cast<std::uint64_t>(request));
     if (u >= p)
         return 1.0;
-    const double mult = std::max(1.0, reqStuck->param("mult", 4.0));
+    const double mult = reqStuck->param("mult", 4.0);
     if (stuckLogged.insert(request).second)
         record(FaultKind::ReqStuck, request, mult);
     return mult;
@@ -191,7 +192,7 @@ double FaultSession::syscallStallCycles(os::RequestId request, os::Sys sys)
     const double p = sysStall->param("p", 0.01);
     if (p <= 0.0 || sysRng.uniform() >= p)
         return 0.0;
-    const double cycles = std::max(0.0, sysStall->param("cycles", 60000.0));
+    const double cycles = sysStall->param("cycles", 60000.0);
     if (cycles > 0.0)
         record(FaultKind::SysStall, request, cycles);
     return cycles;

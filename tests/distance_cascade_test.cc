@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/model/anomaly.hh"
@@ -53,6 +55,33 @@ classSeries(std::size_t len, std::size_t cls, std::uint64_t seed)
         s.push_back(base +
                     0.4 * std::sin(freq * static_cast<double>(k)) +
                     rng.uniform(-0.08, 0.08));
+    return s;
+}
+
+/**
+ * Behavior-class series built without libm: a class shape (straight
+ * segments through the class's random knots, one every 16 samples)
+ * played at a per-series tempo, plus uniform noise. Every value is
+ * exact IEEE arithmetic on seeded streams, so the cells the pruned
+ * kernels compute on these series are the same on every host.
+ */
+MetricSeries
+knotSeries(std::size_t len, std::size_t cls, stats::Rng &rng)
+{
+    stats::Rng shape(100 + cls);
+    std::vector<double> knots(len / 8 + 2);
+    for (double &k : knots)
+        k = shape.uniform(0.5, 3.5);
+    const double tempo = rng.uniform(0.8, 1.25);
+    MetricSeries s;
+    s.reserve(len);
+    for (std::size_t k = 0; k < len; ++k) {
+        const double at = static_cast<double>(k) * tempo / 16.0;
+        const auto knot = static_cast<std::size_t>(at);
+        const double t = at - static_cast<double>(knot);
+        s.push_back(knots[knot] + t * (knots[knot + 1] - knots[knot]) +
+                    rng.uniform(-0.05, 0.05));
+    }
     return s;
 }
 
@@ -194,48 +223,6 @@ TEST(LowerBounds, FlatSeriesAndZeroPenalty)
 }
 
 // ----------------------------------------------------- kernel dispatch
-
-TEST(DiagKernel, ScalarBitIdenticalToReference)
-{
-    stats::Rng rng(404);
-    DistanceScratch &scr = threadDistanceScratch();
-    for (int trial = 0; trial < 80; ++trial) {
-        const std::size_t m =
-            1 + static_cast<std::size_t>(rng.uniformInt(90));
-        const std::size_t n =
-            1 + static_cast<std::size_t>(rng.uniformInt(90));
-        const auto x = randomSeries(m, rng);
-        const auto y = randomSeries(n, rng);
-        const double p = 0.5 * static_cast<double>(trial % 4);
-        const double want = ref::dtwDistance(x, y, p);
-        const double got = detail::dtwDiagScalar(x.data(), m, y.data(),
-                                                 n, p, scr);
-        ASSERT_EQ(want, got) << "m=" << m << " n=" << n << " p=" << p;
-    }
-}
-
-TEST(DiagKernel, Avx2BitIdenticalToScalarWhenAvailable)
-{
-    if (!detail::dtwAvx2Available())
-        GTEST_SKIP() << "host has no AVX2";
-    stats::Rng rng(505);
-    DistanceScratch &scr = threadDistanceScratch();
-    for (int trial = 0; trial < 80; ++trial) {
-        const std::size_t m =
-            1 + static_cast<std::size_t>(rng.uniformInt(120));
-        const std::size_t n =
-            1 + static_cast<std::size_t>(rng.uniformInt(120));
-        const auto x = randomSeries(m, rng);
-        const auto y = randomSeries(n, rng);
-        const double p = 0.5 * static_cast<double>(trial % 4);
-        const double s = detail::dtwDiagScalar(x.data(), m, y.data(),
-                                               n, p, scr);
-        const double v = detail::dtwDiagAvx2(x.data(), m, y.data(), n,
-                                             p, scr);
-        ASSERT_EQ(s, v) << "m=" << m << " n=" << n << " p=" << p;
-        ASSERT_EQ(s, ref::dtwDistance(x, y, p));
-    }
-}
 
 TEST(DiagKernel, DispatcherMatchesReferenceAcrossLengthThreshold)
 {
@@ -483,58 +470,85 @@ rollingAbandons(const std::vector<double> &minima, double cutoff)
                        [&](double r) { return r >= cutoff; });
 }
 
-} // namespace
+/** One anti-diagonal kernel entry point (dtw_simd.hh). */
+using DiagKernelFn = double (*)(const double *, std::size_t,
+                                const double *, std::size_t, double,
+                                DistanceScratch &, double);
 
-TEST(EarlyAbandon, SameAbandonSetAsRollingRowMinimumOnEveryKernel)
+/** How often a suite saw each abandon outcome. */
+struct Outcomes
 {
-    // Counter preservation: model.dtw_early_abandons, the cascade
-    // memo and model.cascade_dp_runs stay put only if every kernel
-    // abandons on exactly the inputs the rolling kernel does. Cutoffs
-    // sit on the knife edges: the exact value, one ulp either side of
-    // it, and on (and one ulp above) a row minimum.
+    int abandoned = 0;
+    int finished = 0;
+};
+
+/**
+ * One input through one kernel (nullptr: the public dispatcher): the
+ * full DP bit for bit against the reference, then, for p >= 0, the
+ * abandon decision against the rolling kernel's at knife-edge
+ * cutoffs — the exact value, one ulp either side of it, and on (and
+ * one ulp above) a row minimum. Counter preservation
+ * (model.dtw_early_abandons, the cascade memo, model.cascade_dp_runs)
+ * rests on every kernel abandoning on exactly the rolling kernel's
+ * inputs.
+ */
+void
+expectSameAsReference(DiagKernelFn kernel, const MetricSeries &x,
+                      const MetricSeries &y, double p, Outcomes &seen)
+{
     constexpr double Inf = std::numeric_limits<double>::infinity();
     DistanceScratch &scr = threadDistanceScratch();
-    const bool avx2 = detail::dtwAvx2Available();
-    int abandoned = 0, finished = 0;
+    const std::size_t m = x.size(), n = y.size();
+    const auto run = [&](double cutoff) {
+        if (kernel != nullptr)
+            return kernel(x.data(), m, y.data(), n, p, scr, cutoff);
+        return cutoff == Inf ? dtwDistance(x, y, p)
+                             : dtwDistanceEarlyAbandon(x, y, p, cutoff);
+    };
+    const double exact = ref::dtwDistance(x, y, p);
+    ASSERT_EQ(run(Inf), exact) << "m=" << m << " n=" << n << " p=" << p;
+    if (p < 0.0)
+        return; // abandoning needs p >= 0; a negative p prunes nothing
+    const auto minima = rollingRowMinima(x, y, p);
+    const double row_edge = minima[(m - 1) / 2];
+    for (const double cutoff :
+         {exact, std::nextafter(exact, Inf), std::nextafter(exact, 0.0),
+          row_edge, std::nextafter(row_edge, Inf), minima.back(),
+          std::nextafter(minima.back(), Inf)}) {
+        const bool want = rollingAbandons(minima, cutoff);
+        want ? ++seen.abandoned : ++seen.finished;
+        ASSERT_EQ(run(cutoff), want ? Inf : exact)
+            << "m=" << m << " n=" << n << " p=" << p
+            << " cutoff=" << cutoff;
+    }
+}
+
+/**
+ * The exactness suite for one kernel: random inputs, then the ones
+ * built to break a bound-pruned wavefront. DPs under 2^16 cells run
+ * unpruned (dtw_simd.cc, PruneMinCells); the small families pin the
+ * wavefront itself, its boundary peeling and its abandon test, and
+ * the large ones the pruning.
+ */
+void
+expectExactOnEveryInputFamily(DiagKernelFn kernel)
+{
+    Outcomes seen;
     const auto check = [&](const MetricSeries &x, const MetricSeries &y,
                            double p) {
-        const std::size_t m = x.size(), n = y.size();
-        const double exact = ref::dtwDistance(x, y, p);
-        const auto minima = rollingRowMinima(x, y, p);
-        const double row_edge = minima[(m - 1) / 2];
-        for (const double cutoff :
-             {exact, std::nextafter(exact, Inf),
-              std::nextafter(exact, 0.0), row_edge,
-              std::nextafter(row_edge, Inf), minima.back(),
-              std::nextafter(minima.back(), Inf)}) {
-            const bool want = rollingAbandons(minima, cutoff);
-            want ? ++abandoned : ++finished;
-            const double expect = want ? Inf : exact;
-            SCOPED_TRACE(::testing::Message()
-                         << "m=" << m << " n=" << n << " p=" << p
-                         << " cutoff=" << cutoff);
-            ASSERT_EQ(dtwDistanceEarlyAbandon(x, y, p, cutoff), expect);
-            ASSERT_EQ(detail::dtwDiagScalar(x.data(), m, y.data(), n, p,
-                                            scr, cutoff),
-                      expect);
-            if (avx2) {
-                ASSERT_EQ(detail::dtwDiagAvx2(x.data(), m, y.data(), n,
-                                              p, scr, cutoff),
-                          expect);
-            }
-        }
+        expectSameAsReference(kernel, x, y, p, seen);
+        return !::testing::Test::HasFatalFailure();
     };
+    constexpr std::array<double, 4> Penalties = {0.0, 0.5, 1.0, -0.5};
     stats::Rng rng(909);
     for (std::size_t m = 1; m <= 80; ++m) {
         for (const std::size_t n :
              {m, std::size_t{1} + m / 3, std::size_t{81} - m,
               std::size_t{1} +
                   static_cast<std::size_t>(rng.uniformInt(80))}) {
-            for (const double p : {0.0, 0.5, 1.0}) {
-                check(randomSeries(m, rng), randomSeries(n, rng), p);
-                if (HasFatalFailure())
+            for (const double p : Penalties)
+                if (!check(randomSeries(m, rng), randomSeries(n, rng), p))
                     return;
-            }
         }
     }
     // One spike in each flat series: the cells below a cutoff split
@@ -547,15 +561,163 @@ TEST(EarlyAbandon, SameAbandonSetAsRollingRowMinimumOnEveryKernel)
                 MetricSeries x(m, 0.0), y(n, 0.0);
                 x[a] = y[b] = 5.0;
                 for (const double p : {0.5, 1.0})
-                    check(x, y, p);
-                if (HasFatalFailure())
-                    return;
+                    if (!check(x, y, p))
+                        return;
             }
         }
     }
+
+    // Pruned sizes from here on. Identical and partly identical
+    // series: the diagonal path is optimal or nearly so, so cells tie
+    // the bound (F == UB) and a prune at >= UB instead of > UB loses
+    // the optimal path.
+    for (const std::size_t len : {330u, 400u}) {
+        const auto x = randomSeries(len, rng);
+        MetricSeries patched = x;
+        for (std::size_t k = len / 3; k < len / 2; ++k)
+            patched[k] = rng.uniform(0.2, 4.0);
+        MetricSeries longer = x;
+        for (std::size_t k = 0; k < 15; ++k)
+            longer.push_back(rng.uniform(0.2, 4.0));
+        const MetricSeries prefix(x.begin(),
+                                  x.begin() + static_cast<std::ptrdiff_t>(
+                                                  2 * len / 3));
+        const MetricSeries shifted(x.begin() + 5, x.end());
+        for (const double p : Penalties)
+            for (const MetricSeries *y : std::array<const MetricSeries *, 5>{
+                     &x, &patched, &longer, &prefix, &shifted})
+                if (!check(x, *y, p) || !check(*y, x, p))
+                    return;
+    }
+    // Series of one behavior class played at different tempos: the
+    // optimal path leaves the diagonal and the live range drifts.
+    for (std::size_t k = 0; k < 6; ++k) {
+        const auto x = knotSeries(
+            260 + static_cast<std::size_t>(rng.uniformInt(200)), k % 2, rng);
+        const auto y = knotSeries(
+            260 + static_cast<std::size_t>(rng.uniformInt(200)), k % 2, rng);
+        for (const double p : Penalties)
+            if (!check(x, y, p))
+                return;
+    }
+    // One spike in each flat series: the cells at or below the bound
+    // split into valleys on alternate diagonals, so a diagonal's live
+    // range can jump or empty out while another valley carries on —
+    // the stale-slot hazard of a missing sentinel or of a computed
+    // range that drops the d-2 term.
+    // At 260 x 260 and p = 0.5 a spike at y[255] lets a second valley
+    // die above the first, so the top of the range retreats and then
+    // advances again over slots an older diagonal wrote.
+    for (const auto &[m, n] : {std::pair<std::size_t, std::size_t>{260, 260},
+                               std::pair<std::size_t, std::size_t>{200, 330}}) {
+        for (const std::size_t a : {0u, 12u, 130u, 199u}) {
+            for (const std::size_t b : {0u, 150u, 255u}) {
+                MetricSeries x(m, 0.0), y(n, 0.0);
+                x[a] = y[b] = 5.0;
+                for (const double p : {0.0, 0.5, 1.0})
+                    if (!check(x, y, p) || !check(y, x, p))
+                        return;
+            }
+        }
+    }
+    // Skewed shapes, m >> n and n >> m: the bound's straight leg is
+    // long and the diagonals are short.
+    for (const auto &[m, n] :
+         {std::pair<std::size_t, std::size_t>{4096, 17}, {17, 4096},
+          {300, 260}, {33000, 2}, {2, 33000}}) {
+        const auto x = randomSeries(m, rng);
+        const auto y = randomSeries(n, rng);
+        for (const double p : Penalties)
+            if (!check(x, y, p))
+                return;
+    }
     // Both outcomes must be exercised for the suite to mean anything.
-    EXPECT_GT(abandoned, 1000);
-    EXPECT_GT(finished, 1000);
+    EXPECT_GT(seen.abandoned, 1000);
+    EXPECT_GT(seen.finished, 1000);
+}
+
+} // namespace
+
+TEST(EarlyAbandon, DispatcherSameAbandonSetAsRollingRowMinimum)
+{
+    expectExactOnEveryInputFamily(nullptr);
+}
+
+TEST(PrunedKernel, ScalarExactOnEveryInputFamily)
+{
+    expectExactOnEveryInputFamily(detail::dtwDiagScalar);
+}
+
+TEST(PrunedKernel, Avx2ExactOnEveryInputFamily)
+{
+    if (!detail::dtwAvx2Available())
+        GTEST_SKIP() << "host has no AVX2";
+    expectExactOnEveryInputFamily(detail::dtwDiagAvx2);
+}
+
+TEST(PrunedKernel, Avx512ExactOnEveryInputFamily)
+{
+    if (!detail::dtwAvx512Available())
+        GTEST_SKIP() << "host has no AVX-512F";
+    expectExactOnEveryInputFamily(detail::dtwDiagAvx512);
+}
+
+TEST(PrunedKernel, CellTallyPinnedOnFixedSeedSet)
+{
+    // The deterministic work figure behind the pruning's speed claim:
+    // DP cells computed (DistanceScratch::dtwCells) on a fixed-seed
+    // set, for every pair's full DP and for a nearest-neighbor scan
+    // that abandons at the best distance so far, as serve's scoring
+    // does. Every kernel computes the same cells; p = 0 is serve's
+    // penalty.
+    constexpr double Inf = std::numeric_limits<double>::infinity();
+    constexpr double P = 0.0;
+    stats::Rng rng(1717);
+    std::vector<MetricSeries> set;
+    for (std::size_t i = 0; i < 12; ++i)
+        set.push_back(knotSeries(
+            260 + static_cast<std::size_t>(rng.uniformInt(200)), i % 3,
+            rng));
+    std::uint64_t all_cells = 0; // m * n over the full DPs
+    for (std::size_t i = 0; i < set.size(); ++i)
+        for (std::size_t j = i + 1; j < set.size(); ++j)
+            all_cells += set[i].size() * set[j].size();
+
+    std::vector<DiagKernelFn> kernels = {detail::dtwDiagScalar};
+    if (detail::dtwAvx2Available())
+        kernels.push_back(detail::dtwDiagAvx2);
+    if (detail::dtwAvx512Available())
+        kernels.push_back(detail::dtwDiagAvx512);
+    DistanceScratch &scr = threadDistanceScratch();
+    for (const DiagKernelFn kernel : kernels) {
+        const auto dp = [&](const MetricSeries &x, const MetricSeries &y,
+                            double cutoff) {
+            return kernel(x.data(), x.size(), y.data(), y.size(), P, scr,
+                          cutoff);
+        };
+        std::uint64_t before = scr.dtwCells;
+        for (std::size_t i = 0; i < set.size(); ++i)
+            for (std::size_t j = i + 1; j < set.size(); ++j)
+                ASSERT_EQ(dp(set[i], set[j], Inf),
+                          ref::dtwDistance(set[i], set[j], P));
+        const std::uint64_t full_cells = scr.dtwCells - before;
+
+        before = scr.dtwCells;
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            double best = Inf;
+            for (std::size_t j = 0; j < set.size(); ++j)
+                if (j != i)
+                    best = std::min(best, dp(set[i], set[j], best));
+        }
+        const std::uint64_t scan_cells = scr.dtwCells - before;
+
+        EXPECT_EQ(full_cells, 7820387u);
+        EXPECT_EQ(scan_cells, 8365278u);
+        EXPECT_LT(full_cells, all_cells);
+        RecordProperty("kept_cell_frac",
+                       std::to_string(static_cast<double>(full_cells) /
+                                      static_cast<double>(all_cells)));
+    }
 }
 
 // ------------------------------------------------- parallel byte-ident

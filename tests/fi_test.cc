@@ -141,6 +141,62 @@ TEST(FaultPlan, RejectsValuesThatAreNotFiniteNumbers)
     EXPECT_DOUBLE_EQ(plan.specs()[0].param("node", 0.0), -1.0);
 }
 
+TEST(FaultPlan, RejectsValuesOutsideEachParameterRange)
+{
+    // Ids, times, probabilities, multipliers and the bounded scalars
+    // each declare a range. A value outside it used to reach an
+    // undefined cast to a tick or an id (node=1e300), or silently
+    // inject nothing (a negative crash time).
+    fi::FaultPlan plan;
+    std::string err;
+    for (const auto &[bad, key] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"node-crash(node=1,at-ms=-5)", "at-ms"},
+             {"node-crash(node=1e300)", "node"},
+             {"node-crash(node=-1)", "node"},
+             {"node-degrade(node=1.5)", "node"},
+             {"link-partition(a=0,b=2147483648)", "b"},
+             {"core-slow(core=0.5)", "core"},
+             {"link-drop(node=-2)", "node"},
+             {"node-degrade(from-ms=1e10)", "from-ms"},
+             {"core-slow(for-ms=-1)", "for-ms"},
+             {"link-delay(add-us=-1)", "add-us"},
+             {"irq-drop(p=1.5)", "p"},
+             {"link-drop(p=-0.1)", "p"},
+             {"req-stuck(mult=0.5)", "mult"},
+             {"node-degrade(mult=1e6)", "mult"},
+             {"core-slow(frac=1)", "frac"},
+             {"ctr-saturate(cap=1e13)", "cap"},
+             {"sys-stall(cycles=-1)", "cycles"},
+         }) {
+        const std::string fault = bad.substr(0, bad.find('('));
+        EXPECT_FALSE(fi::FaultPlan::parse(bad, plan, err)) << bad;
+        EXPECT_NE(err.find("\"" + key + "\" of fault \"" + fault + "\""),
+                  std::string::npos)
+            << bad << ": " << err;
+        EXPECT_NE(err.find(" in ["), std::string::npos) << bad << ": " << err;
+    }
+
+    // All or nothing, as for a non-number.
+    ASSERT_TRUE(fi::FaultPlan::parse("ctx-loss(p=0.5)", plan, err));
+    EXPECT_FALSE(fi::FaultPlan::parse(
+        "irq-drop(p=0.1);node-crash(node=1,at-ms=-5)", plan, err));
+    EXPECT_EQ(plan.summary(), "ctx-loss(p=0.5)");
+
+    // Both ends of every kind of range are accepted, and link-drop and
+    // link-delay keep -1 as "every node".
+    for (const char *good :
+         {"irq-drop(p=0)", "irq-drop(p=1)", "node-crash(node=0,at-ms=0)",
+          "node-crash(node=2147483647,at-ms=1e9)", "link-drop(node=-1)",
+          "link-delay(node=-1,add-us=0)", "req-stuck(mult=1)",
+          "node-degrade(mult=1000)", "core-slow(core=3,frac=0.95)",
+          "ctr-saturate(cap=0)", "sys-stall(cycles=0)"})
+        EXPECT_TRUE(fi::FaultPlan::parse(good, plan, err))
+            << good << ": " << err;
+    ASSERT_TRUE(fi::FaultPlan::parse("link-drop(p=0.1)", plan, err));
+    EXPECT_DOUBLE_EQ(plan.specs()[0].param("node", -1.0), -1.0);
+}
+
 TEST(FaultPlanDeath, HandBuiltNonNumberAbortsOnRead)
 {
     // parse() can never produce one; a spec built by hand can.
@@ -150,6 +206,15 @@ TEST(FaultPlanDeath, HandBuiltNonNumberAbortsOnRead)
     EXPECT_DOUBLE_EQ(fs.param("p", 0.25), 0.25); // absent: default
     EXPECT_DEATH(fs.param("mult", 4.0),
                  "RBV_CHECK failed.*\"mult\" of fault \"req-stuck\"");
+}
+
+TEST(FaultPlanDeath, HandBuiltOutOfRangeAbortsOnRead)
+{
+    fi::FaultSpec fs;
+    fs.kind = fi::FaultKind::NodeCrash;
+    fs.params["at-ms"] = "-5";
+    EXPECT_DEATH(fs.param("at-ms", 0.0),
+                 "RBV_CHECK failed.*\"at-ms\" of fault \"node-crash\"");
 }
 
 TEST(FaultPlan, LayerPredicates)
