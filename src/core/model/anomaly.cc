@@ -19,29 +19,15 @@ CentroidAnomaly
 detectCentroidAnomaly(const std::vector<MetricSeries> &series,
                       double async_penalty, int jobs)
 {
-    // Thin wrapper over the streaming core: batch detection is the
-    // windowed algorithm with a window covering every series.
-    std::vector<const MetricSeries *> items;
-    items.reserve(series.size());
-    for (const auto &s : series)
-        items.push_back(&s);
-    return detail::centroidAnomalyOver(items.data(), items.size(),
-                                       async_penalty, jobs);
-}
-
-CentroidAnomaly
-detail::centroidAnomalyOver(const MetricSeries *const *items,
-                            std::size_t n, double async_penalty,
-                            int jobs)
-{
     CentroidAnomaly out;
+    const std::size_t n = series.size();
     if (n < 2)
         return out;
 
     const DistanceMatrix dm = DistanceMatrix::build(
         n,
         [&](std::size_t i, std::size_t j) {
-            return dtwDistance(*items[i], *items[j], async_penalty);
+            return dtwDistance(series[i], series[j], async_penalty);
         },
         jobs);
 

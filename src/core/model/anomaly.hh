@@ -52,22 +52,6 @@ CentroidAnomaly detectCentroidAnomaly(
     const std::vector<MetricSeries> &series, double async_penalty,
     int jobs = 1);
 
-namespace detail {
-
-/**
- * The centroid-anomaly core behind both the batch entry point above
- * and the streaming WindowedAnomalyDetector: items arrive as a
- * pointer array so a sliding window can present its contents in
- * arrival order without copying. detectCentroidAnomaly() is a thin
- * wrapper over this, which is what keeps batch results byte-identical
- * to the streaming path fed with the same series.
- */
-CentroidAnomaly centroidAnomalyOver(const MetricSeries *const *items,
-                                    std::size_t n,
-                                    double async_penalty, int jobs);
-
-} // namespace detail
-
 /** Result of multi-metric anomaly-pair detection. */
 struct MetricPairAnomaly
 {

@@ -15,29 +15,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
+#include "core/parallel.hh"
 #include "obs/obs.hh"
 #include "stats/rng.hh"
 
 namespace rbv::core {
-
-namespace detail {
-
-/**
- * Outlined worker pool behind DistanceMatrix::build: runs
- * fn(0 .. count-1) on @p jobs threads (<= 0 uses the hardware
- * concurrency), indices claimed dynamically from an atomic cursor —
- * the same decomposition contract as exp::ParallelRunner. Every
- * index runs exactly once and must write disjoint state, so results
- * cannot depend on the thread count or schedule.
- */
-void parallelFor(std::size_t count, int jobs,
-                 const std::function<void(std::size_t)> &fn);
-
-} // namespace detail
 
 /**
  * Symmetric pairwise distance matrix with packed upper-triangular
@@ -56,10 +41,10 @@ class DistanceMatrix
     /**
      * Build by evaluating dist(i, j) for all i < j. The callable is
      * invoked directly (templated, no std::function hop on the cell
-     * path). With jobs != 1 rows are filled concurrently by a worker
-     * pool; dist must be safe to call from multiple threads and pure
-     * in (i, j), which makes the result byte-identical at any job
-     * count (each cell is computed exactly once, by exactly one
+     * path). Rows are filled by parallelFor() on @p jobs threads;
+     * with jobs != 1, dist must be safe to call from multiple threads
+     * and pure in (i, j), which makes the result byte-identical at any
+     * job count (each cell is computed exactly once, by exactly one
      * thread, from (i, j) alone).
      */
     template <typename Fn>
@@ -72,14 +57,8 @@ class DistanceMatrix
             return dm;
         RBV_COUNT(ModelDistanceCells,
                   static_cast<std::uint64_t>(n) * (n - 1) / 2);
-        if (jobs == 1 || n < 3) {
-            for (std::size_t i = 0; i + 1 < n; ++i)
-                dm.fillRow(i, dist);
-        } else {
-            detail::parallelFor(n - 1, jobs, [&](std::size_t i) {
-                dm.fillRow(i, dist);
-            });
-        }
+        parallelFor(n - 1, jobs,
+                    [&](std::size_t i) { dm.fillRow(i, dist); });
         return dm;
     }
 

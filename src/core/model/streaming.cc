@@ -126,37 +126,12 @@ StreamingClusterModel::scoreOf(const MetricSeries &series) const
     return best;
 }
 
-void
-WindowedAnomalyDetector::observe(MetricSeries series)
-{
-    const std::size_t w = cfg.window ? cfg.window : 1;
-    if (ring.size() < w) {
-        ring.push_back(std::move(series));
-    } else {
-        ring[head] = std::move(series);
-        head = (head + 1) % w;
-    }
-    ++seen;
-}
-
-CentroidAnomaly
-WindowedAnomalyDetector::evaluate() const
-{
-    std::vector<const MetricSeries *> window;
-    window.reserve(ring.size());
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        window.push_back(&ring[(head + i) % ring.size()]);
-    return detail::centroidAnomalyOver(
-        window.data(), window.size(), cfg.asyncPenalty, cfg.jobs);
-}
-
 bool
 RollingAnomalyScorer::observe(double score)
 {
     const double thr = threshold();
     const bool flag = thr > 0.0 && score > cfg.margin * thr;
     scores.add(score);
-    decaying.add(score);
     if (flag)
         ++flagged;
     return flag;

@@ -12,12 +12,8 @@
  *  - StreamingClusterModel: CLARA-style sampled k-medoids re-cluster
  *    over a sliding window of recent request series, run over the
  *    lower-bound DistanceCascade of the sample;
- *  - WindowedAnomalyDetector: the centroid-anomaly core over a
- *    sliding window — the batch detectCentroidAnomaly() entry point
- *    is a thin wrapper that feeds every series through a detector
- *    whose window covers them all, so fig benches stay byte-identical;
  *  - RollingAnomalyScorer: per-request nearest-medoid scores with a
- *    decaying mean and sliding-quantile threshold.
+ *    sliding-quantile threshold.
  *
  * Every component's state is bounded by its configuration, never by
  * the stream length, and every decision is driven by an explicit Rng,
@@ -30,7 +26,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/model/anomaly.hh"
 #include "core/model/cascade.hh"
 #include "core/model/kmedoids.hh"
 #include "core/model/signature.hh"
@@ -156,52 +151,9 @@ class StreamingClusterModel
 };
 
 /**
- * Centroid-anomaly detection over a sliding window: keeps the last
- * `window` series and, on evaluate(), finds the window's centroid
- * (minimal summed distance) and ranks members by their distance from
- * it, farthest first — exactly the batch algorithm of Fig. 8/9
- * applied to the window contents in arrival order.
- */
-class WindowedAnomalyDetector
-{
-  public:
-    struct Config
-    {
-        std::size_t window = 256;
-        double asyncPenalty = 0.0;
-        int jobs = 1;
-    };
-
-    explicit WindowedAnomalyDetector(Config cfg_) : cfg(cfg_)
-    {
-        ring.reserve(cfg.window ? cfg.window : 1);
-    }
-
-    /** Add one completed request's series to the window. */
-    void observe(MetricSeries series);
-
-    /**
-     * Run centroid-anomaly detection over the current window. The
-     * result's indices refer to window positions in arrival order
-     * (0 = oldest retained). Default result when the window holds
-     * fewer than 2 series.
-     */
-    CentroidAnomaly evaluate() const;
-
-    std::size_t windowSize() const { return ring.size(); }
-    std::size_t observedCount() const { return seen; }
-
-  private:
-    Config cfg;
-    std::vector<MetricSeries> ring;
-    std::size_t head = 0;
-    std::size_t seen = 0;
-};
-
-/**
  * Rolling per-request anomaly scores: each completed request's
- * distance to the nearest cluster medoid, tracked with a decaying
- * mean/CoV and an exact sliding quantile. A request is flagged when
+ * distance to the nearest cluster medoid, tracked with an exact
+ * sliding quantile. A request is flagged when
  * its score exceeds the current quantile threshold by a margin —
  * both the threshold and the flag depend only on the last `window`
  * scores, so the scorer never grows with the stream.
@@ -214,11 +166,10 @@ class RollingAnomalyScorer
         std::size_t window = 1024; ///< Scores in the quantile window.
         double quantile = 0.99;    ///< Threshold quantile.
         double margin = 1.0;       ///< Flag when score > margin * q.
-        double alpha = 0.02;       ///< Decay of the rolling mean/CoV.
     };
 
     explicit RollingAnomalyScorer(Config cfg_)
-        : cfg(cfg_), scores(cfg.window), decaying(cfg.alpha)
+        : cfg(cfg_), scores(cfg.window)
     {
     }
 
@@ -232,15 +183,12 @@ class RollingAnomalyScorer
     /** Current flag threshold (0 until the window warms up). */
     double threshold() const;
 
-    double rollingMean() const { return decaying.mean(); }
-    double rollingCov() const { return decaying.cov(); }
     std::size_t observedCount() const { return scores.count(); }
     std::size_t flaggedCount() const { return flagged; }
 
   private:
     Config cfg;
     stats::SlidingQuantile scores;
-    stats::EwmaMeanVar decaying;
     std::size_t flagged = 0;
 };
 

@@ -21,11 +21,8 @@
 #define RBV_CORE_PREDICT_PREDICTOR_HH
 
 #include <cmath>
-#include <cstdint>
 #include <memory>
 #include <string>
-
-#include "core/check.hh"
 
 namespace rbv::core {
 
@@ -238,126 +235,6 @@ class VaEwmaPredictor : public Predictor
     double unitT;
     double est = 0.0;
     bool seeded = false;
-};
-
-/**
- * Graceful-degradation predictor chain (fault tolerance; not part of
- * the paper's comparison): vaEWMA while observation windows arrive,
- * last-value once a window goes missing, cumulative request average
- * when several consecutive windows are missing — and always a
- * finite, clamped prediction. Missing windows are reported via
- * observeMissed(), or implicitly by feeding an unusable (non-finite
- * or zero-length) observation.
- */
-class FallbackPredictor : public Predictor
-{
-  public:
-    struct Config
-    {
-        double alpha = 0.6; ///< vaEWMA gain.
-        double unitT = 1.0; ///< vaEWMA unit window length.
-
-        /** Consecutive missing windows after which even last-value
-         *  is considered stale and the request average takes over. */
-        int staleAfterMisses = 3;
-
-        double clampLo = 0.0;  ///< Metric rates are non-negative.
-        double clampHi = 1e12; ///< Stops Inf propagation downstream.
-    };
-
-    FallbackPredictor() : FallbackPredictor(Config{}) {}
-
-    explicit FallbackPredictor(Config cfg)
-        : cfg(cfg), va(cfg.alpha, cfg.unitT)
-    {
-    }
-
-    void
-    observe(double t, double x) override
-    {
-        if (!std::isfinite(t) || !std::isfinite(x) || t <= 0.0) {
-            observeMissed();
-            return;
-        }
-        consecutiveMisses = 0;
-        any = true;
-        va.observe(t, x);
-        last.observe(t, x);
-        avg.observe(t, x);
-    }
-
-    /** Report a known missing window (e.g. a dropped interrupt). */
-    void
-    observeMissed()
-    {
-        ++consecutiveMisses;
-        ++missedWindows_;
-    }
-
-    double
-    predict() const override
-    {
-        double v = 0.0;
-        if (any) {
-            if (consecutiveMisses == 0)
-                v = va.predict();
-            else if (consecutiveMisses <= cfg.staleAfterMisses)
-                v = last.predict();
-            else
-                v = avg.predict();
-        }
-        if (!std::isfinite(v))
-            v = 0.0;
-        if (v < cfg.clampLo)
-            v = cfg.clampLo;
-        if (v > cfg.clampHi)
-            v = cfg.clampHi;
-        RBV_CHECK(std::isfinite(v),
-                  "FallbackPredictor produced a non-finite value");
-        return v;
-    }
-
-    /** Chain member predict() currently consults. */
-    const char *
-    activeLevel() const
-    {
-        if (!any)
-            return "none";
-        if (consecutiveMisses == 0)
-            return "vaEWMA";
-        return consecutiveMisses <= cfg.staleAfterMisses ? "last"
-                                                         : "avg";
-    }
-
-    /** Total missing windows reported so far. */
-    std::uint64_t missedWindows() const { return missedWindows_; }
-
-    void
-    reset() override
-    {
-        va.reset();
-        last.reset();
-        avg.reset();
-        consecutiveMisses = 0;
-        any = false;
-    }
-
-    std::string name() const override { return "Fallback vaEWMA>last>avg"; }
-
-    std::unique_ptr<Predictor>
-    clone() const override
-    {
-        return std::make_unique<FallbackPredictor>(cfg);
-    }
-
-  private:
-    Config cfg;
-    VaEwmaPredictor va;
-    LastValuePredictor last;
-    RequestAveragePredictor avg;
-    int consecutiveMisses = 0;
-    std::uint64_t missedWindows_ = 0;
-    bool any = false;
 };
 
 } // namespace rbv::core

@@ -126,11 +126,6 @@ TopologySpec::parse(const std::string &text, TopologySpec &out,
             tier.replicas = std::stoi(repl, &pos);
             if (pos != repl.size())
                 throw std::invalid_argument(repl);
-            if (!kilo.empty()) {
-                tier.serviceKiloIns = std::stod(kilo, &pos);
-                if (pos != kilo.size())
-                    throw std::invalid_argument(kilo);
-            }
         } catch (const std::exception &) {
             error = "bad number in tier \"" + item + "\"";
             return false;
@@ -140,8 +135,15 @@ TopologySpec::parse(const std::string &text, TopologySpec &out,
                     "\": replicas must be in [1, 16]";
             return false;
         }
-        if (tier.serviceKiloIns <= 0.0) {
-            error = "tier \"" + name + "\": kilo-ins must be > 0";
+        // A finite, bounded demand (at most a billion instructions a
+        // hop) keeps every service phase's cycle count a tick.
+        if (!kilo.empty() &&
+            (!fi::parseFinite(kilo, tier.serviceKiloIns) ||
+             !(tier.serviceKiloIns > 0.0 &&
+               tier.serviceKiloIns <= 1e6))) {
+            error = "tier \"" + name +
+                    "\": kilo-ins must be a number in (0, 1e6]: \"" +
+                    kilo + "\"";
             return false;
         }
         for (const auto &t : out.tiers) {
@@ -230,17 +232,6 @@ Topology::Topology(const TopologySpec &spec, const RpcPolicy &policy,
 }
 
 Topology::~Topology() = default;
-
-NodeId
-Topology::nodeOf(int tier, int replica) const
-{
-    RBV_CHECK(tier >= 0 && tier < tierCount(), "bad tier " << tier);
-    const auto &reps = tiers[static_cast<std::size_t>(tier)].replicas;
-    RBV_CHECK(replica >= 0 &&
-                  replica < static_cast<int>(reps.size()),
-              "bad replica " << replica);
-    return reps[static_cast<std::size_t>(replica)].node;
-}
 
 const ReplicaHealth &
 Topology::health(int tier, int replica) const

@@ -76,8 +76,10 @@ struct TierSpec
  *     <spec> ::= <tier> [',' <tier>]...
  *     <tier> ::= <name> ':' <replicas> [':' <kilo-ins>]
  *
- * e.g. `lb:1:20,app:2:80,db:2:140`. Unknown shapes are parse errors
- * (a typo must never silently build a different cluster).
+ * e.g. `lb:1:20,app:2:80,db:2:140`. Replicas lie in [1, 16] and
+ * kilo-ins in (0, 1e6]. Unknown shapes and out-of-range values are
+ * parse errors (a typo must never silently build a different
+ * cluster).
  */
 struct TopologySpec
 {
@@ -137,7 +139,6 @@ class Topology
     const TopologySpec &spec() const { return spec_; }
 
     int tierCount() const { return static_cast<int>(tiers.size()); }
-    NodeId nodeOf(int tier, int replica) const;
     const ReplicaHealth &health(int tier, int replica) const;
 
     /**

@@ -6,12 +6,16 @@
 #include "exp/cli.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 
+#include "fi/plan.hh"
+
 namespace rbv::exp {
 
-Cli::Cli(int argc, char **argv)
+Cli::Cli(int argc, char **argv) : prog(argc > 0 ? argv[0] : "rbv")
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -84,31 +88,59 @@ Cli::getStr(const std::string &name, const std::string &def) const
     return it != flags.end() && !it->second.empty() ? it->second : def;
 }
 
+void
+Cli::badValue(const std::string &name, const std::string &expected) const
+{
+    std::cerr << prog << ": bad value for --" << name << ": \""
+              << flags.at(name) << "\" (expected " << expected << ")\n";
+    std::exit(2);
+}
+
 long
-Cli::getInt(const std::string &name, long def) const
+Cli::getInt(const std::string &name, long def, long lo, long hi) const
 {
     auto it = flags.find(name);
-    return it != flags.end() && !it->second.empty()
-               ? std::strtol(it->second.c_str(), nullptr, 10)
-               : def;
+    if (it == flags.end() || it->second.empty())
+        return def;
+    const std::string &v = it->second;
+    char *end = nullptr;
+    errno = 0;
+    const long out = std::strtol(v.c_str(), &end, 10);
+    if (std::isspace(static_cast<unsigned char>(v.front())) ||
+        end != v.c_str() + v.size() || errno == ERANGE || out < lo ||
+        out > hi) {
+        badValue(name, "a whole number in [" + std::to_string(lo) +
+                           ", " + std::to_string(hi) + "]");
+    }
+    return out;
 }
 
 double
 Cli::getDouble(const std::string &name, double def) const
 {
     auto it = flags.find(name);
-    return it != flags.end() && !it->second.empty()
-               ? std::strtod(it->second.c_str(), nullptr)
-               : def;
+    if (it == flags.end() || it->second.empty())
+        return def;
+    double out = 0.0;
+    if (!fi::parseFinite(it->second, out))
+        badValue(name, "a finite number");
+    return out;
 }
 
 std::uint64_t
 Cli::getU64(const std::string &name, std::uint64_t def) const
 {
     auto it = flags.find(name);
-    return it != flags.end() && !it->second.empty()
-               ? std::strtoull(it->second.c_str(), nullptr, 10)
-               : def;
+    if (it == flags.end() || it->second.empty())
+        return def;
+    const std::string &v = it->second;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long out = std::strtoull(v.c_str(), &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(v.front())) ||
+        end != v.c_str() + v.size() || errno == ERANGE)
+        badValue(name, "a whole number in [0, 2^64)");
+    return out;
 }
 
 bool
@@ -123,7 +155,7 @@ Cli::getBool(const std::string &name, bool def) const
         return true;
     if (v == "0" || v == "false" || v == "no" || v == "off")
         return false;
-    return def;
+    badValue(name, "1/true/yes/on or 0/false/no/off");
 }
 
 // -------------------------------------------------- flag catalogue
@@ -157,7 +189,7 @@ const std::pair<const char *, const char *> FlagCatalogue[] = {
     {"link-us", "cluster one-way inter-tier link latency "
                 "(microseconds)"},
     {"jobs", "worker threads for independent simulations "
-             "(0 = hardware concurrency)"},
+             "(0 = hardware concurrency; at most 1024)"},
     {"k", "number of k-medoids clusters"},
     {"metrics-out",
      "write merged obs counters/histograms (flat text) to this path"},

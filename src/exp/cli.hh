@@ -9,7 +9,10 @@
  *
  * Binaries construct Cli with their accepted flag names; an unknown
  * flag (e.g. the typo "--request") aborts with a clear error instead
- * of being silently ignored.
+ * of being silently ignored. The typed getters are strict in the same
+ * way: a value that does not parse as a whole, in-range number (or a
+ * boolean word) prints an error naming the flag and the value, then
+ * exits with status 2.
  *
  * Every validating binary also accepts the standard flags
  * (standardFlagNames()): --help prints generated documentation for
@@ -22,6 +25,7 @@
 #ifndef RBV_EXP_CLI_HH
 #define RBV_EXP_CLI_HH
 
+#include <climits>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -47,10 +51,24 @@ class Cli
 
     bool has(const std::string &name) const;
 
+    /** @name Typed getters: absent or empty is @p def. */
+    /// @{
     std::string getStr(const std::string &name,
                        const std::string &def) const;
-    long getInt(const std::string &name, long def) const;
+
+    /**
+     * A whole decimal number in [@p lo, @p hi]. Integer flags are
+     * counts, so the default range is [0, INT_MAX]: a negative count
+     * is an error, and every count fits the int its caller may cast
+     * it to.
+     */
+    long getInt(const std::string &name, long def, long lo = 0,
+                long hi = INT_MAX) const;
+
+    /** A finite number (no NaN, no infinity). */
     double getDouble(const std::string &name, double def) const;
+
+    /** A whole unsigned decimal number (no sign). */
     std::uint64_t getU64(const std::string &name,
                          std::uint64_t def) const;
 
@@ -59,12 +77,18 @@ class Cli
      * =0/false/no/off is false, absent is @p def.
      */
     bool getBool(const std::string &name, bool def) const;
+    /// @}
 
     /** Parsed flag names not present in @p known. */
     std::vector<std::string>
     unknown(const std::vector<std::string> &known) const;
 
   private:
+    /** Report a flag value that does not parse, then exit 2. */
+    [[noreturn]] void badValue(const std::string &name,
+                               const std::string &expected) const;
+
+    std::string prog;
     std::map<std::string, std::string> flags;
 };
 

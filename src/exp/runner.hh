@@ -24,14 +24,13 @@
 #ifndef RBV_EXP_RUNNER_HH
 #define RBV_EXP_RUNNER_HH
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/parallel.hh"
 #include "exp/scenario.hh"
 
 namespace rbv::exp {
@@ -156,18 +155,21 @@ struct RunnerOptions
 /** Standard engine flags: --jobs N, --quiet, and --retries N. */
 RunnerOptions runnerOptions(const Cli &cli);
 
+/** Largest accepted --jobs value. */
+constexpr int MaxJobs = 1024;
+
 /**
- * The --jobs value for nested parallel kernels (e.g.
- * core::DistanceMatrix::build), sharing the engine's convention:
- * 0 (the default) means all hardware threads.
+ * The --jobs value, in [0, MaxJobs], for the engine and for nested
+ * parallel kernels (e.g. core::DistanceMatrix::build): 0 (the
+ * default) means all hardware threads.
  */
 int jobsFlag(const Cli &cli);
 
 /**
- * Executes a job list on a thread pool and merges the results by job
- * index. Results are bit-identical to a serial run at any thread
- * count: job bodies are pure functions of their configs, and slot i
- * of the returned vector always holds job i's outcome.
+ * Executes a job list on the core::parallelFor() pool and merges the
+ * results by job index. Results are bit-identical to a serial run at
+ * any thread count: job bodies are pure functions of their configs,
+ * and slot i of the returned vector always holds job i's outcome.
  */
 class ParallelRunner
 {
@@ -188,18 +190,12 @@ class ParallelRunner
         -> std::vector<decltype(fn(std::size_t{}))>
     {
         std::vector<decltype(fn(std::size_t{}))> out(n);
-        dispatch(n, [&](std::size_t i) { out[i] = fn(i); });
+        core::parallelFor(n, opts.jobs,
+                          [&](std::size_t i) { out[i] = fn(i); });
         return out;
     }
 
-    /** Resolved worker-thread count for @p n jobs. */
-    int threadsFor(std::size_t n) const;
-
   private:
-    /** Claim indices 0..n-1 across the pool and run work(i). */
-    void dispatch(std::size_t n,
-                  const std::function<void(std::size_t)> &work) const;
-
     RunnerOptions opts;
 };
 

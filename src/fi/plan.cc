@@ -141,14 +141,6 @@ std::string trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-/// The whole of @p text as a finite number, or false.
-bool parseFinite(const std::string &text, double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0' && std::isfinite(out);
-}
-
 /**
  * Parameter @p key of fault @p entry as a number inside its declared
  * range, or false with @p error naming the fault, the key and the
@@ -362,6 +354,13 @@ std::uint64_t stringHash64(const std::string &s)
         h *= 0x100000001b3ULL; // FNV prime
     }
     return h;
+}
+
+bool parseFinite(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return end != text.c_str() && *end == '\0' && std::isfinite(out);
 }
 
 double unitIntervalHash(std::uint64_t seed, std::uint64_t salt,

@@ -141,6 +141,13 @@ class InjectedFault : public std::runtime_error
     }
 };
 
+/**
+ * The whole of @p text as a finite number, or false: the one numeric
+ * parse behind fault parameters, topology sizes and numeric CLI
+ * flags, so trailing garbage, NaN and infinities never get in.
+ */
+bool parseFinite(const std::string &text, double &out);
+
 /** Deterministic 64-bit FNV-1a hash of a string (platform-stable). */
 std::uint64_t stringHash64(const std::string &s);
 

@@ -318,7 +318,7 @@ Session::Session(SessionConfig cfg)
     Session *expected = nullptr;
     isActive = g_current.compare_exchange_strong(expected, this);
     if (isActive)
-        attachThread(0);
+        attachThread();
 }
 
 Session::~Session()
@@ -334,24 +334,31 @@ Session::~Session()
 }
 
 ThreadState *
-Session::attachThread(std::uint32_t logical_id)
+Session::attachThread()
 {
 #if RBV_OBS
     if (!isActive)
         return nullptr;
     std::lock_guard<std::mutex> lock(mu);
-    auto &slot = threads[logical_id];
+    // Ids are handed out lowest-first, so while none is free the
+    // ones in use are exactly 0 .. threads.size()-1. Reusing a freed
+    // shard is safe: its last writer released it under mu.
+    std::uint32_t id = static_cast<std::uint32_t>(threads.size());
+    if (!freeIds.empty()) {
+        id = *freeIds.begin();
+        freeIds.erase(freeIds.begin());
+    }
+    auto &slot = threads[id];
     if (!slot) {
         slot = std::make_unique<ThreadState>();
         slot->ring.resize(cfg.traceCapacityPerThread);
         slot->hist.assign(histTotalSlots(), 0);
-        slot->logicalId = logical_id;
+        slot->logicalId = id;
         slot->session = this;
     }
     detail::tl_state = slot.get();
     return slot.get();
 #else
-    (void)logical_id;
     return nullptr;
 #endif
 }
@@ -360,8 +367,19 @@ void
 Session::detachThread()
 {
 #if RBV_OBS
+    ThreadState *ts = detail::tl_state;
+    if (ts == nullptr)
+        return;
     detail::tl_state = nullptr;
+    ts->session->releaseId(ts->logicalId);
 #endif
+}
+
+void
+Session::releaseId(std::uint32_t logical_id)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    freeIds.insert(logical_id);
 }
 
 Session *
@@ -599,16 +617,14 @@ Session::writeProfile(std::ostream &os, std::size_t top_n) const
 
 // ----------------------------------------------------------- guards
 
-WorkerGuard::WorkerGuard(std::uint32_t logical_id)
+WorkerGuard::WorkerGuard()
 {
 #if RBV_OBS
     Session *s = Session::current();
     if (s && !attached()) {
-        s->attachThread(logical_id);
+        s->attachThread();
         didAttach = true;
     }
-#else
-    (void)logical_id;
 #endif
 }
 

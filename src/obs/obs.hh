@@ -55,6 +55,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -221,7 +222,7 @@ struct ThreadState
     std::vector<std::uint64_t> hist; ///< Flat buckets, all hists.
     std::array<ProfCell, NumProfs> prof{};
 
-    std::uint32_t logicalId = 0; ///< Host track (0 main, N worker).
+    std::uint32_t logicalId = 0; ///< Host track (0 = main thread).
     std::uint32_t simPid = 1;    ///< Trace pid for sim-clock events.
     Session *session = nullptr;
 
@@ -479,9 +480,9 @@ struct ProfRow
  *
  * At most one session is live per process (the constructor makes the
  * new session current only if none is); the constructing thread is
- * attached as logical thread 0. Worker threads attach with their
- * worker index and must detach (and be joined) before the session is
- * merged or destroyed. With RBV_OBS=0 the session is inert: attach
+ * attached as logical thread 0. Worker threads attach under the
+ * lowest logical id no live thread holds, and must detach (and be
+ * joined) before the session is merged or destroyed. With RBV_OBS=0 the session is inert: attach
  * returns null and the writers emit valid empty documents.
  */
 class Session
@@ -497,13 +498,16 @@ class Session
     bool active() const { return isActive; }
 
     /**
-     * Attach the calling thread under a logical id (its host trace
-     * track; 0 = main, n = worker n). Re-attaching an id reuses its
-     * shard. Returns null when inert or compiled out.
+     * Attach the calling thread under the lowest logical id (its host
+     * trace track) that no attached thread holds, reusing that id's
+     * shard if an earlier thread detached from it. Ids are unique
+     * among live threads, so pools may nest without two threads
+     * sharing a single-writer shard. Returns null when inert or
+     * compiled out.
      */
-    ThreadState *attachThread(std::uint32_t logical_id);
+    ThreadState *attachThread();
 
-    /** Clear the calling thread's shard binding. */
+    /** Clear the calling thread's shard binding and free its id. */
     static void detachThread();
 
     /** The process-current session (null when none). */
@@ -536,6 +540,9 @@ class Session
     std::uint64_t droppedEvents() const;
 
   private:
+    /** Return a detached thread's logical id to the free set. */
+    void releaseId(std::uint32_t logical_id);
+
     SessionConfig cfg;
     bool isActive = false;
     std::chrono::steady_clock::time_point epoch;
@@ -547,6 +554,8 @@ class Session
         threads; // rbvlint: guarded_by(mu)
     std::map<std::uint32_t, std::string>
         simProcNames; // rbvlint: guarded_by(mu)
+    /** Logical ids whose shard no attached thread holds. */
+    std::set<std::uint32_t> freeIds; // rbvlint: guarded_by(mu)
 };
 
 /**
@@ -557,7 +566,7 @@ class Session
 class WorkerGuard
 {
   public:
-    explicit WorkerGuard(std::uint32_t logical_id);
+    WorkerGuard();
     ~WorkerGuard();
 
     WorkerGuard(const WorkerGuard &) = delete;

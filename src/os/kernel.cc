@@ -184,18 +184,6 @@ Kernel::currentRequest(sim::CoreId core) const
     return coreSched[core].request;
 }
 
-RequestId
-Kernel::requestOf(ThreadId thread) const
-{
-    return thr(thread).request;
-}
-
-ProcessId
-Kernel::processOf(ThreadId thread) const
-{
-    return thr(thread).proc;
-}
-
 const RequestInfo &
 Kernel::request(RequestId id) const
 {

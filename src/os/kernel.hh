@@ -142,17 +142,11 @@ class Kernel : public sim::CoreClient
 
     ThreadId runningThread(sim::CoreId core) const;
     RequestId currentRequest(sim::CoreId core) const;
-    RequestId requestOf(ThreadId thread) const;
-    ProcessId processOf(ThreadId thread) const;
 
     const RequestInfo &request(RequestId id) const;
     RequestInfo &requestMutable(RequestId id);
     std::size_t numRequests() const { return reqs.size(); }
     std::size_t completedRequests() const { return numCompleted; }
-    /** Requests ever registered (monotonic; ≥ numRequests()). */
-    std::size_t registeredRequests() const { return numRegistered; }
-    /** Slots currently on the free list. */
-    std::size_t freeRequestSlots() const { return freeSlots.size(); }
 
     const KernelStats &stats() const { return kstats; }
     SchedulerPolicy &policy() { return *sched; }

@@ -116,8 +116,6 @@ class PerfCounters
         selectors[counter] = ev;
     }
 
-    HwEvent selector(int counter) const { return selectors[counter]; }
-
     /**
      * Accrue events. Called by the core execution model at every
      * resynchronization and by observer-effect injection.

@@ -63,13 +63,6 @@ cyclesToMs(double cycles, double freq_ghz = DefaultFreqGhz)
     return cyclesToUs(cycles, freq_ghz) / 1000.0;
 }
 
-/** Convert cycles to seconds. */
-constexpr double
-cyclesToSec(double cycles, double freq_ghz = DefaultFreqGhz)
-{
-    return cyclesToUs(cycles, freq_ghz) / 1.0e6;
-}
-
 } // namespace rbv::sim
 
 #endif // RBV_SIM_TYPES_HH

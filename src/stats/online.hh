@@ -104,8 +104,6 @@ class WeightedCov
         sumTXX += t * x * x;
     }
 
-    double totalWeight() const { return sumT; }
-
     /** Weighted mean of the metric values. */
     double
     weightedMean() const
@@ -156,8 +154,6 @@ class WeightedRmse
         sumT += t;
         sumTE2 += t * e * e;
     }
-
-    double totalWeight() const { return sumT; }
 
     double
     rmse() const

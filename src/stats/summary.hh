@@ -51,7 +51,6 @@ class Histogram
     /** Add one observation; out-of-range values land in under/over. */
     void add(double x);
 
-    std::size_t numBins() const { return counts.size(); }
     double binLo(std::size_t i) const { return lo + width * i; }
     double binCenter(std::size_t i) const
     {

@@ -22,18 +22,6 @@ allArrivalModes()
     return modes;
 }
 
-std::string
-arrivalModeName(ArrivalMode mode)
-{
-    switch (mode) {
-      case ArrivalMode::Poisson: return "poisson";
-      case ArrivalMode::Burst: return "burst";
-      case ArrivalMode::Diurnal: return "diurnal";
-      case ArrivalMode::FlashCrowd: return "flash";
-    }
-    return "?";
-}
-
 ArrivalMode
 arrivalModeFromName(const std::string &name)
 {

@@ -37,9 +37,6 @@ enum class ArrivalMode
 /** All modes, in presentation order. */
 const std::vector<ArrivalMode> &allArrivalModes();
 
-/** Canonical short name ("poisson", "burst", "diurnal", "flash"). */
-std::string arrivalModeName(ArrivalMode mode);
-
 /** Parse a mode name; throws std::invalid_argument on junk. */
 ArrivalMode arrivalModeFromName(const std::string &name);
 
@@ -94,9 +91,6 @@ class ArrivalProcess
 
     /** Draw the gap to the next arrival, in simulated microseconds. */
     double nextGapUs();
-
-    /** Simulated time of the most recently drawn arrival. */
-    double clockUs() const { return clock; }
 
   private:
     ArrivalConfig cfg;

@@ -144,11 +144,6 @@ class OpenLoopDriver
     {
         return numInjected - numCompleted;
     }
-    /** Completed ids awaiting a quiescent moment to recycle. */
-    std::size_t pendingReleases() const
-    {
-        return pendingRelease.size();
-    }
 
     /** Spec of an outstanding request (nullptr once recycled). */
     const RequestSpec *specOf(os::RequestId id) const;

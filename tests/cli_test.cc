@@ -1,18 +1,21 @@
 /**
  * @file
- * CLI flag-documentation tests: every flag a bench/example registers
- * has a non-empty help string in the catalogue, the standard flags
- * are all documented, and the generated --help text covers the
- * accepted set.
+ * CLI flag tests: every flag a bench/example registers has a
+ * non-empty help string in the catalogue, the standard flags are all
+ * documented, the generated --help text covers the accepted set, and
+ * the typed getters reject values that do not parse whole and in
+ * range.
  */
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exp/cli.hh"
+#include "exp/runner.hh"
 
 using namespace rbv::exp;
 
@@ -188,6 +191,92 @@ TEST(CliDeath, ClusterFlagTypoIsRejected)
                           {"topology", "link-us", "deadline-us"});
         },
         testing::ExitedWithCode(2), "unknown flag --topolgy");
+}
+
+/** Parse "--<name> <value>" with the unvalidated ctor. */
+Cli
+oneFlag(const char *name, const char *value)
+{
+    const std::string flag = std::string("--") + name;
+    const char *argv[] = {"prog", flag.c_str(), value};
+    return Cli(3, const_cast<char **>(argv));
+}
+
+TEST(Cli, StrictGettersAcceptWholeInRangeValues)
+{
+    EXPECT_EQ(oneFlag("requests", "0").getInt("requests", 9), 0);
+    EXPECT_EQ(oneFlag("requests", "1000000").getInt("requests", 9),
+              1000000);
+    EXPECT_EQ(oneFlag("seed", "20101").getU64("seed", 9), 20101u);
+    EXPECT_EQ(oneFlag("seed", "18446744073709551615").getU64("seed", 9),
+              18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(oneFlag("qps", "2e4").getDouble("qps", 0.0),
+                     20000.0);
+    EXPECT_DOUBLE_EQ(oneFlag("link-us", "-1.5").getDouble("link-us", 0.0),
+                     -1.5);
+    EXPECT_FALSE(oneFlag("quiet", "off").getBool("quiet", true));
+    EXPECT_EQ(jobsFlag(oneFlag("jobs", "0")), 0);
+    EXPECT_EQ(jobsFlag(oneFlag("jobs", "1024")), 1024);
+    // An empty value is the default, as for getStr.
+    EXPECT_EQ(oneFlag("requests", "").getInt("requests", 9), 9);
+}
+
+TEST(CliDeath, GarbageNumbersExitTwoNamingFlagAndValue)
+{
+    const struct
+    {
+        const char *flag;
+        const char *value;
+    } cases[] = {
+        {"requests", "abc"},   {"requests", "-5"},
+        {"requests", "12x"},   {"requests", "1e6"},
+        {"requests", " 7"},    {"requests", "99999999999999999999"},
+        {"requests", "2147483648"},
+        {"seed", "-1"},        {"seed", "+1"},
+        {"seed", "7.5"},       {"seed", "18446744073709551616"},
+        {"qps", "nan"},        {"qps", "inf"},
+        {"qps", "-inf"},       {"qps", "1e400"},
+        {"qps", "20k"},        {"quiet", "maybe"},
+    };
+    for (const auto &c : cases) {
+        std::string expect = std::string("--") + c.flag + ": \"";
+        for (const char ch : std::string(c.value)) {
+            if (std::string("+.[]()*?^$|\\").find(ch) !=
+                std::string::npos)
+                expect += '\\';
+            expect += ch;
+        }
+        expect += '"';
+        EXPECT_EXIT(
+            {
+                const Cli cli = oneFlag(c.flag, c.value);
+                if (std::string(c.flag) == "seed")
+                    (void)cli.getU64(c.flag, 0);
+                else if (std::string(c.flag) == "qps")
+                    (void)cli.getDouble(c.flag, 0.0);
+                else if (std::string(c.flag) == "quiet")
+                    (void)cli.getBool(c.flag, false);
+                else
+                    (void)cli.getInt(c.flag, 0);
+                std::exit(0);
+            },
+            testing::ExitedWithCode(2), expect)
+            << c.flag << " " << c.value;
+    }
+}
+
+TEST(CliDeath, JobsOutsideItsRangeExitsTwo)
+{
+    // Parsed only: nothing here starts a thread.
+    for (const char *v : {"1025", "-1", "100000"}) {
+        EXPECT_EXIT(
+            {
+                (void)jobsFlag(oneFlag("jobs", v));
+                std::exit(0);
+            },
+            testing::ExitedWithCode(2), "--jobs.*\\[0, 1024\\]")
+            << v;
+    }
 }
 
 } // namespace

@@ -368,6 +368,18 @@ TEST(TopologySpec, ParsesSummarizesAndRejectsTypos)
     EXPECT_FALSE(TopologySpec::parse("lb:1,lb:1", s, err));
     EXPECT_FALSE(TopologySpec::parse("lb:1:20:9", s, err));
     EXPECT_FALSE(TopologySpec::parse("lb:1,,db:1", s, err));
+
+    // Service sizes must be finite and in (0, 1e6]; inf and 1e300 once
+    // aborted the simulator on a tick overflow, nan on a debug check.
+    for (const char *kilo : {"inf", "nan", "1e300", "-0", "0", "1e6x",
+                             "1000000.5"}) {
+        EXPECT_FALSE(TopologySpec::parse(
+            std::string("lb:1:20,app:2:") + kilo, s, err))
+            << kilo;
+        EXPECT_NE(err.find("tier \"app\""), std::string::npos) << err;
+    }
+    ASSERT_TRUE(TopologySpec::parse("lb:1:1e6,app:2:0.5", s, err)) << err;
+    EXPECT_DOUBLE_EQ(s.tiers[0].serviceKiloIns, 1e6);
 }
 
 namespace {

@@ -10,7 +10,6 @@
 
 #include "exp/analysis.hh"
 #include "exp/cli.hh"
-#include "exp/trace.hh"
 
 using namespace rbv;
 using namespace rbv::exp;
@@ -241,89 +240,4 @@ TEST(Analysis, MissesQuantileOverPeriods)
     // misses/ins of periods: 0.01 .. 0.10.
     EXPECT_NEAR(missesPerInsQuantile(recs, 0.5), 0.055, 1e-12);
     EXPECT_NEAR(missesPerInsQuantile(recs, 1.0), 0.10, 1e-12);
-}
-
-// ------------------------------------------------------------- trace
-
-namespace {
-
-RequestRecord
-tracedRecord()
-{
-    RequestRecord r;
-    r.id = 3;
-    r.className = "t.cls";
-    r.classId = 7;
-    r.totals.instructions = 1000;
-    r.totals.cycles = 2000;
-    r.totals.l2Refs = 20;
-    r.totals.l2Misses = 4;
-    r.injected = 100;
-    r.completed = 2300;
-    r.syscalls = {os::Sys::read, os::Sys::write};
-    core::Period p;
-    p.instructions = 500;
-    p.cycles = 900;
-    p.l2Refs = 10;
-    p.l2Misses = 2;
-    p.wallStart = 120;
-    p.trigger = core::SampleTrigger::Syscall;
-    r.timeline.periods.push_back(p);
-    p.wallStart = 1100;
-    p.cycles = 1100;
-    p.trigger = core::SampleTrigger::Interrupt;
-    r.timeline.periods.push_back(p);
-    return r;
-}
-
-std::size_t
-countLines(const std::string &s)
-{
-    std::size_t n = 0;
-    for (char c : s)
-        n += c == '\n';
-    return n;
-}
-
-} // namespace
-
-TEST(Trace, RecordsCsvHasHeaderAndRow)
-{
-    std::ostringstream os;
-    writeRecordsCsv(os, {tracedRecord()});
-    const std::string out = os.str();
-    EXPECT_EQ(countLines(out), 2u);
-    EXPECT_NE(out.find("request,class,class_id"), std::string::npos);
-    EXPECT_NE(out.find("3,t.cls,7,1000,2000,20,4,2,"),
-              std::string::npos);
-    // latency = completed - injected
-    EXPECT_NE(out.find(",2200,"), std::string::npos);
-}
-
-TEST(Trace, TimelinesCsvOneRowPerPeriod)
-{
-    std::ostringstream os;
-    writeTimelinesCsv(os, {tracedRecord()});
-    const std::string out = os.str();
-    EXPECT_EQ(countLines(out), 3u);
-    EXPECT_NE(out.find("syscall"), std::string::npos);
-    EXPECT_NE(out.find("interrupt"), std::string::npos);
-}
-
-TEST(Trace, TimelinesCsvSkipsEmptyPeriods)
-{
-    auto r = tracedRecord();
-    core::Period empty;
-    r.timeline.periods.push_back(empty);
-    std::ostringstream os;
-    writeTimelinesCsv(os, {r});
-    EXPECT_EQ(countLines(os.str()), 3u);
-}
-
-TEST(Trace, SeriesCsvBins)
-{
-    std::ostringstream os;
-    writeSeriesCsv(os, {tracedRecord()}, 500.0);
-    // 1000 instructions / 500-ins bins -> 2 rows + header.
-    EXPECT_EQ(countLines(os.str()), 3u);
 }

@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/model/distance.hh"
+#include "core/model/kmedoids.hh"
 #include "exp/runner.hh"
 #include "obs/obs.hh"
 
@@ -300,7 +302,12 @@ tinyJobs()
     return grid.jobs();
 }
 
-/** Merged metrics of a tiny campaign run under @p jobs threads. */
+/**
+ * Merged metrics of a tiny campaign run under @p jobs threads. Each
+ * job body also builds a syscall-string Levenshtein DistanceMatrix
+ * over its requests at the same thread count, so the matrix pool
+ * runs nested inside the runner's pool.
+ */
 MergedMetrics
 campaignMetrics(int jobs)
 {
@@ -308,7 +315,22 @@ campaignMetrics(int jobs)
     exp::RunnerOptions opts;
     opts.jobs = jobs;
     opts.progress = false;
-    exp::ParallelRunner(opts).run(tinyJobs());
+    std::vector<exp::Job> campaign = tinyJobs();
+    for (exp::Job &job : campaign) {
+        job.body = [jobs](const exp::ScenarioConfig &cfg) {
+            exp::ScenarioResult res = exp::runScenario(cfg);
+            const auto &recs = res.records;
+            core::DistanceMatrix::build(
+                recs.size(),
+                [&](std::size_t i, std::size_t j) {
+                    return core::levenshteinDistance(recs[i].syscalls,
+                                                     recs[j].syscalls);
+                },
+                jobs);
+            return res;
+        };
+    }
+    exp::ParallelRunner(opts).run(campaign);
     return session.mergedMetrics();
 }
 
@@ -419,7 +441,7 @@ TEST(ObsSession, SecondSessionIsInert)
         GTEST_SKIP() << "obs compiled out (RBV_OBS=0)";
     EXPECT_TRUE(first.active());
     EXPECT_FALSE(second.active());
-    EXPECT_EQ(second.attachThread(0), nullptr);
+    EXPECT_EQ(second.attachThread(), nullptr);
 }
 
 TEST(ObsSession, ProfScopesAccumulate)
@@ -593,6 +615,11 @@ TEST(ShardMerge, ParallelCampaignEqualsSerialTotals)
     EXPECT_EQ(serial.counters[static_cast<std::size_t>(
                   Counter::ExpJobsCompleted)],
               4u);
+    // The nested matrix builds ran, and their worker threads counted
+    // (equality at 1 and 4 jobs is checked above for every counter).
+    EXPECT_GT(serial.counters[static_cast<std::size_t>(
+                  Counter::ModelLevBitParallel)],
+              0u);
 #endif
 }
 

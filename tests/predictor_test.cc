@@ -173,47 +173,6 @@ TEST(VaEwma, DegenerateWindowLengthsDoNotAmplifyHistory)
     EXPECT_LE(p.predict(), 10.0);
 }
 
-TEST(Fallback, DegradesDownTheChainAndRecovers)
-{
-    FallbackPredictor::Config cfg;
-    cfg.staleAfterMisses = 2;
-    FallbackPredictor p(cfg);
-    EXPECT_STREQ(p.activeLevel(), "none");
-
-    p.observe(1.0, 4.0);
-    p.observe(1.0, 6.0);
-    EXPECT_STREQ(p.activeLevel(), "vaEWMA");
-
-    p.observeMissed(); // one dropped window: last-value
-    EXPECT_STREQ(p.activeLevel(), "last");
-    EXPECT_DOUBLE_EQ(p.predict(), 6.0);
-
-    p.observeMissed();
-    p.observeMissed(); // past staleAfterMisses: request average
-    EXPECT_STREQ(p.activeLevel(), "avg");
-    EXPECT_DOUBLE_EQ(p.predict(), 5.0); // (4 + 6) / 2, unit windows
-    EXPECT_EQ(p.missedWindows(), 3u);
-
-    p.observe(1.0, 8.0); // telemetry recovers
-    EXPECT_STREQ(p.activeLevel(), "vaEWMA");
-}
-
-TEST(Fallback, AlwaysFiniteAndClamped)
-{
-    FallbackPredictor p;
-    EXPECT_DOUBLE_EQ(p.predict(), 0.0); // never observed
-
-    p.observe(std::nan(""), std::nan("")); // counts as a miss
-    EXPECT_EQ(p.missedWindows(), 1u);
-    EXPECT_TRUE(std::isfinite(p.predict()));
-
-    p.observe(1.0, 1e30); // clamped at clampHi
-    EXPECT_DOUBLE_EQ(p.predict(), 1e12);
-    p.reset();
-    EXPECT_STREQ(p.activeLevel(), "none");
-    EXPECT_DOUBLE_EQ(p.predict(), 0.0);
-}
-
 TEST(Predictors, VaEwmaTracksPhaseChangeFasterThanAverage)
 {
     // A step change: the adaptive filter must converge to the new

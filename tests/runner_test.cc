@@ -207,6 +207,23 @@ TEST(ParallelRunner, MapMergesByIndex)
         EXPECT_EQ(out[i], i * i);
 }
 
+TEST(ParallelRunner, MapRethrowsABodyExceptionAfterJoining)
+{
+    // A throw on a pool thread reaches the caller instead of ending
+    // the process on an unjoined std::thread.
+    RunnerOptions opts;
+    opts.jobs = 4;
+    opts.progress = false;
+    EXPECT_THROW(ParallelRunner(opts).map(64,
+                                          [](std::size_t i) {
+                                              if (i % 7 == 3)
+                                                  throw std::runtime_error(
+                                                      "bad index");
+                                              return i;
+                                          }),
+                 std::runtime_error);
+}
+
 TEST(ParallelRunner, ProgressGoesToTheLogStreamOnly)
 {
     std::ostringstream log;

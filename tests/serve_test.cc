@@ -144,45 +144,6 @@ TEST(StreamingClusterModel, FullWindowReclusterMatchesBatchKMedoids)
         EXPECT_EQ(model.medoids()[c], series[batch.medoids[c]]);
 }
 
-TEST(WindowedAnomalyDetector, FullWindowMatchesBatchDetection)
-{
-    const auto series = makeSeries(20, 31);
-    const double penalty = 0.05;
-
-    core::WindowedAnomalyDetector::Config wc;
-    wc.window = series.size();
-    wc.asyncPenalty = penalty;
-    core::WindowedAnomalyDetector det(wc);
-    for (const auto &s : series)
-        det.observe(s);
-    const auto streaming = det.evaluate();
-    const auto batch = core::detectCentroidAnomaly(series, penalty);
-
-    EXPECT_EQ(streaming.centroid, batch.centroid);
-    EXPECT_EQ(streaming.anomaly, batch.anomaly);
-    EXPECT_DOUBLE_EQ(streaming.distance, batch.distance);
-    EXPECT_EQ(streaming.ranking, batch.ranking);
-}
-
-TEST(WindowedAnomalyDetector, SlidingWindowKeepsOnlyRecentSeries)
-{
-    const auto series = makeSeries(12, 41);
-    core::WindowedAnomalyDetector::Config wc;
-    wc.window = 4;
-    core::WindowedAnomalyDetector det(wc);
-    for (const auto &s : series)
-        det.observe(s);
-    EXPECT_EQ(det.windowSize(), 4u);
-    EXPECT_EQ(det.observedCount(), 12u);
-
-    // The window is the last 4 series in arrival order.
-    std::vector<core::MetricSeries> tail(series.end() - 4,
-                                         series.end());
-    const auto streaming = det.evaluate();
-    const auto batch = core::detectCentroidAnomaly(tail, 0.0);
-    EXPECT_EQ(streaming.ranking, batch.ranking);
-}
-
 TEST(RollingAnomalyScorer, WarmsUpThenFlagsOutliers)
 {
     core::RollingAnomalyScorer::Config rc;
